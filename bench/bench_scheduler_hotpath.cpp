@@ -1,8 +1,8 @@
 /**
  * @file
  * Scheduling-stage hot-path benchmark: the indexed list scheduler
- * (ReservationLedger + incremental ready-queue) against the legacy
- * full-scan implementation (SchedulerOptions::referenceMode), on the
+ * (ReservationLedger + incremental ready-queue) against the full-scan
+ * oracle in tests/reference_scheduler.hpp, on the
  * Table 2 set and on large random programs (16-400+ gates) across
  * machine sizes. Both implementations are run on every instance, the
  * schedules are verified identical (exit 1 on any divergence — the
@@ -23,6 +23,7 @@
 #include "machine/calibration_model.hpp"
 #include "mappers/greedy_mapper.hpp"
 #include "sched/list_scheduler.hpp"
+#include "tests/reference_scheduler.hpp"
 #include "workloads/random_circuits.hpp"
 
 using namespace qc;
@@ -62,16 +63,14 @@ scatterLayout(int n_prog, int n_hw)
 /** Dense workload CNOT mix (see makeDenseCnotCircuit). */
 constexpr int kDenseCnotPermille = 600;
 
+/** Mean wall seconds of `reps` calls; keeps the last schedule. */
+template <class ScheduleFn>
 double
-timeScheduler(const Machine &machine, const SchedulerOptions &opts,
-              const Circuit &circuit,
-              const std::vector<HwQubit> &layout, int reps,
-              Schedule &last)
+timeScheduler(const ScheduleFn &schedule, int reps, Schedule &last)
 {
-    ListScheduler scheduler(machine, opts);
     auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r)
-        last = scheduler.run(circuit, layout);
+        last = schedule();
     auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count() / reps;
 }
@@ -88,13 +87,16 @@ runInstance(const Instance &inst, std::uint64_t seed)
 
     Result res;
     Schedule indexed, reference;
-    opts.referenceMode = false;
-    res.indexedSeconds = timeScheduler(machine, opts, inst.circuit,
-                                       inst.layout, inst.reps, indexed);
-    opts.referenceMode = true;
-    res.referenceSeconds = timeScheduler(machine, opts, inst.circuit,
-                                         inst.layout, inst.reps,
-                                         reference);
+    ListScheduler scheduler(machine, opts);
+    res.indexedSeconds = timeScheduler(
+        [&] { return scheduler.run(inst.circuit, inst.layout); },
+        inst.reps, indexed);
+    res.referenceSeconds = timeScheduler(
+        [&] {
+            return test::referenceSchedule(machine, opts, inst.circuit,
+                                           inst.layout);
+        },
+        inst.reps, reference);
     res.makespan = indexed.makespan;
     res.swaps = indexed.swapCount();
     res.identical = reference.identicalTo(indexed);

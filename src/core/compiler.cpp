@@ -4,8 +4,6 @@
 
 #include "core/passes.hpp"
 #include "mappers/greedy_mapper.hpp"
-#include "mappers/qiskit_baseline.hpp"
-#include "mappers/smt_mapper.hpp"
 #include "support/logging.hpp"
 
 namespace qc {
@@ -118,14 +116,11 @@ standardPipeline(std::shared_ptr<const Machine> machine,
       case MapperKind::Qiskit:
         return builder.placement(passes::qiskitBaseline())
             .routing(passes::routeSelection(RoutingPolicy::OneBendPath,
-                                            RouteSelect::BestDuration,
-                                            true,
-                                            options.referenceScheduler))
+                                            RouteSelect::BestDuration))
             .build();
       case MapperKind::GreedyV:
       case MapperKind::GreedyE: {
-        // Same "Best Path" routing setup the legacy greedy mappers
-        // use — one definition, shared.
+        // The greedy heuristics' "Best Path" routing setup.
         SchedulerOptions greedy = greedySchedulerOptions();
         return builder
             .placement(options.mapper == MapperKind::GreedyV
@@ -133,8 +128,7 @@ standardPipeline(std::shared_ptr<const Machine> machine,
                            : passes::greedyEdge())
             .routing(passes::routeSelection(greedy.policy,
                                             greedy.select,
-                                            greedy.calibratedDurations,
-                                            options.referenceScheduler))
+                                            greedy.calibratedDurations))
             .build();
       }
       case MapperKind::GreedyETrack:
@@ -173,8 +167,7 @@ standardPipeline(std::shared_ptr<const Machine> machine,
                 smt.policy,
                 smt.variant == SmtVariant::RSmtStar
                     ? RouteSelect::BestReliability
-                    : RouteSelect::BestDuration,
-                true, options.referenceScheduler))
+                    : RouteSelect::BestDuration))
             .named(smtMapperDisplayName(smt))
             .build();
       }
@@ -217,44 +210,6 @@ NoiseAdaptiveCompiler::compileToQasm(const Circuit &prog) const
 {
     CompiledProgram compiled = compile(prog);
     return emitQasm(compiled.hwCircuit(prog.numClbits()));
-}
-
-std::unique_ptr<Mapper>
-NoiseAdaptiveCompiler::makeMapper(const Machine &machine,
-                                  const CompilerOptions &options)
-{
-    switch (options.mapper) {
-      case MapperKind::Qiskit:
-        return std::make_unique<QiskitBaselineMapper>(machine);
-      case MapperKind::GreedyV:
-        return std::make_unique<GreedyVMapper>(machine);
-      case MapperKind::GreedyE:
-        return std::make_unique<GreedyEMapper>(machine);
-      case MapperKind::GreedyETrack:
-        return std::make_unique<GreedyETrackMapper>(machine);
-      case MapperKind::Sabre: {
-        SabreOptions sabre;
-        sabre.iterations = options.sabreIterations;
-        sabre.lookahead = options.sabreLookahead;
-        return std::make_unique<SabreMapper>(machine, sabre);
-      }
-      case MapperKind::TSmt:
-      case MapperKind::TSmtStar:
-      case MapperKind::RSmtStar: {
-        SmtMapperOptions smt;
-        smt.variant = options.mapper == MapperKind::TSmt
-                          ? SmtVariant::TSmt
-                      : options.mapper == MapperKind::TSmtStar
-                          ? SmtVariant::TSmtStar
-                          : SmtVariant::RSmtStar;
-        smt.policy = options.policy;
-        smt.readoutWeight = options.readoutWeight;
-        smt.timeoutMs = options.smtTimeoutMs;
-        smt.jointScheduling = options.jointScheduling;
-        return std::make_unique<SmtMapper>(machine, smt);
-      }
-    }
-    QC_PANIC("unknown mapper kind");
 }
 
 } // namespace qc

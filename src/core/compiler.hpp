@@ -4,12 +4,11 @@
  *
  * Wraps machine construction (topology + calibration), the Table 1
  * pass bundles, compilation, and OpenQASM emission behind one object.
- * Since the pass-pipeline redesign this is a thin shim over
- * core/pipeline.hpp: standardPipeline() maps each MapperKind to its
+ * The pass pipeline (core/pipeline.hpp) is the only compile path:
+ * standardPipeline() maps each MapperKind to its
  * placement/routing/scheduling/prediction bundle, and
- * NoiseAdaptiveCompiler::compile runs it with the legacy throwing
- * contract. Use the Pipeline API directly for structured status,
- * per-stage traces, or custom pass combinations.
+ * NoiseAdaptiveCompiler runs that bundle. Use the Pipeline API
+ * directly for custom pass combinations.
  */
 
 #ifndef QC_CORE_COMPILER_HPP
@@ -19,12 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled_program.hpp"
 #include "core/pipeline.hpp"
 #include "ir/circuit.hpp"
 #include "ir/qasm.hpp"
 #include "machine/calibration_model.hpp"
 #include "machine/machine.hpp"
-#include "mappers/mapper.hpp"
 #include "route/routing.hpp"
 
 namespace qc {
@@ -109,13 +108,6 @@ struct CompilerOptions
     unsigned smtTimeoutMs = 60'000;
     bool jointScheduling = true;  ///< full SMT formulation
 
-    /**
-     * Schedule with the legacy full-scan list scheduler instead of
-     * the indexed incremental one (bit-identical output; see
-     * SchedulerOptions::referenceMode). Testing/benchmarking knob.
-     */
-    bool referenceScheduler = false;
-
     /** @name Sabre knobs (MapperKind::Sabre only)
      *  Forwarded to SabreOptions; both steer the mapping, so both are
      *  part of the service's compile-cache key (fingerprintOptions).
@@ -128,8 +120,8 @@ struct CompilerOptions
      * Force the translation validator (verify/verifier.hpp) on for
      * every compilation regardless of build type — what naqc --verify
      * sets. Execution-only: it cannot change which program a bundle
-     * produces, so like referenceScheduler it is deliberately NOT
-     * part of the service's compile-cache fingerprint.
+     * produces, so it is deliberately NOT part of the service's
+     * compile-cache fingerprint.
      */
     bool verify = false;
 
@@ -148,8 +140,8 @@ std::vector<MapperKind> resolvedPortfolioBundles(
  * The Table 1 bundle for `options.mapper` as a pass pipeline:
  * placement (Qiskit baseline / GreedyV* / GreedyE* / SMT variants),
  * route selection, scheduling (list or live-tracking) and
- * reliability prediction, producing bit-identical CompiledPrograms
- * to the legacy monolithic mappers.
+ * reliability prediction. tests/test_grid_identity.cpp pins every
+ * bundle's output on the Table 2 set.
  */
 Pipeline standardPipeline(std::shared_ptr<const Machine> machine,
                           const CompilerOptions &options);
@@ -174,8 +166,9 @@ class NoiseAdaptiveCompiler
 
     /**
      * Compile a program circuit to a placed, scheduled executable.
-     * Throws FatalError when no program can be produced (the legacy
-     * contract); prefer compileWithStatus for structured errors.
+     * Throws FatalError when no program can be produced (see
+     * Pipeline::compile); prefer compileWithStatus for structured
+     * errors.
      */
     CompiledProgram compile(const Circuit &prog) const;
 
@@ -201,15 +194,6 @@ class NoiseAdaptiveCompiler
 
     /** The pass pipeline this facade runs. */
     const Pipeline &pipeline() const { return pipeline_; }
-
-    /**
-     * Instantiate a legacy monolithic mapper for an externally-owned
-     * machine. Kept as the pre-pipeline reference implementation
-     * (bench harnesses and the pipeline-equivalence test use it).
-     */
-    static std::unique_ptr<Mapper> makeMapper(const Machine &machine,
-                                              const CompilerOptions
-                                                  &options);
 
   private:
     std::shared_ptr<const Machine> machine_;

@@ -15,20 +15,20 @@ ExperimentEnv::machineForDay(int day) const
 }
 
 MeasuredRun
-runMeasured(const Machine &machine, const Benchmark &bench,
+runMeasured(std::shared_ptr<const Machine> machine, const Benchmark &bench,
             const CompilerOptions &options, int trials,
             std::uint64_t exec_seed)
 {
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(machine, options);
+    const NoiseAdaptiveCompiler compiler(std::move(machine), options);
     MeasuredRun run;
     run.benchmark = bench.name;
-    run.compiled = mapper->compile(bench.circuit);
+    run.compiled = compiler.compile(bench.circuit);
     run.mapper = run.compiled.mapperName;
 
     ExecutionOptions exec;
     exec.trials = trials;
     exec.seed = exec_seed;
-    run.execution = runNoisy(machine, run.compiled.schedule,
+    run.execution = runNoisy(compiler.machine(), run.compiled.schedule,
                              bench.circuit.numClbits(), bench.expected,
                              exec);
     return run;

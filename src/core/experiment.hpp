@@ -9,6 +9,7 @@
 #define QC_CORE_EXPERIMENT_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,10 +57,11 @@ struct MeasuredRun
 };
 
 /**
- * Compile a benchmark with the mapper described by `options` and
+ * Compile a benchmark with the bundle described by `options` and
  * measure its success rate over `trials` Monte-Carlo repetitions.
  */
-MeasuredRun runMeasured(const Machine &machine, const Benchmark &bench,
+MeasuredRun runMeasured(std::shared_ptr<const Machine> machine,
+                        const Benchmark &bench,
                         const CompilerOptions &options, int trials,
                         std::uint64_t exec_seed);
 

@@ -65,6 +65,42 @@ class GreedyEdgePlacementPass : public PlacementPass
     }
 };
 
+/** SABRE-refined placement (mappers/sabre_mapper.hpp). */
+class SabrePlacementPass : public PlacementPass
+{
+  public:
+    explicit SabrePlacementPass(SabreOptions options) : options_(options)
+    {
+    }
+
+    std::string name() const override { return "Sabre"; }
+
+    CompileStatus run(CompileContext &ctx) const override
+    {
+        const Circuit &prog = ctx.circuit();
+        const int n_prog = prog.numQubits();
+        const int n_hw = ctx.mach().numQubits();
+        if (n_prog > n_hw)
+            return CompileStatus::infeasible(
+                "program needs " + std::to_string(n_prog) +
+                " qubits but machine has " + std::to_string(n_hw));
+
+        SabrePlacementResult result = sabrePlacementDetailed(
+            ctx.mach(), prog, options_, ctx.cancel);
+        ctx.layout = std::move(result.layout);
+
+        std::ostringstream oss;
+        oss << result.roundTrips << " round trips, lookahead "
+            << options_.lookahead << ", best pred. success "
+            << result.predictedSuccess;
+        ctx.addNote(oss.str());
+        return CompileStatus::success();
+    }
+
+  private:
+    SabreOptions options_;
+};
+
 /** SMT placement (paper Sec. 4) with the trivial-layout fallback. */
 class SmtPlacementPass : public PlacementPass
 {
@@ -143,11 +179,9 @@ class RouteSelectionPass : public RoutingPass
 {
   public:
     RouteSelectionPass(RoutingPolicy policy, RouteSelect select,
-                       bool calibrated_durations,
-                       bool reference_scheduler)
+                       bool calibrated_durations)
         : policy_(policy), select_(select),
-          calibratedDurations_(calibrated_durations),
-          referenceScheduler_(reference_scheduler)
+          calibratedDurations_(calibrated_durations)
     {
     }
 
@@ -170,9 +204,6 @@ class RouteSelectionPass : public RoutingPass
             opts.select = select_;
             ctx.addNote(routeSelectName(select_));
         }
-        opts.referenceMode = referenceScheduler_;
-        if (referenceScheduler_)
-            ctx.addNote("reference-scan scheduler");
         ctx.schedOptions = std::move(opts);
         return CompileStatus::success();
     }
@@ -181,7 +212,6 @@ class RouteSelectionPass : public RoutingPass
     RoutingPolicy policy_;
     RouteSelect select_;
     bool calibratedDurations_;
-    bool referenceScheduler_;
 };
 
 /** No precomputed routes: the tracking scheduler routes live. */
@@ -280,10 +310,24 @@ class ReliabilityPredictionPass : public PredictionPass
         // A fresh ListScheduler with the same options is
         // deterministic, so chooseRoute answers match the routes the
         // scheduling stage emitted.
-        ListScheduler scheduler(ctx.mach(), ctx.schedOptions);
-        ctx.logReliability = predictLogReliability(
-            ctx.mach(), ctx.circuit(), ctx.layout, scheduler);
-        ctx.predictedSuccess = std::exp(ctx.logReliability);
+        const Machine &machine = ctx.mach();
+        const Circuit &prog = ctx.circuit();
+        ListScheduler scheduler(machine, ctx.schedOptions);
+        double log_rel = 0.0;
+        for (size_t i = 0; i < prog.size(); ++i) {
+            const Gate &g = prog.gate(i);
+            if (g.op == Op::CNOT) {
+                RoutePath r = scheduler.chooseRoute(
+                    ctx.layout[g.q0], ctx.layout[g.q1],
+                    static_cast<int>(i));
+                log_rel += std::log(r.reliability);
+            } else if (g.isMeasure()) {
+                log_rel += std::log(
+                    machine.cal().readoutReliability(ctx.layout[g.q0]));
+            }
+        }
+        ctx.logReliability = log_rel;
+        ctx.predictedSuccess = std::exp(log_rel);
 
         std::ostringstream oss;
         oss << "pred. success " << ctx.predictedSuccess;
@@ -326,11 +370,10 @@ smt(SmtMapperOptions options)
 
 std::unique_ptr<RoutingPass>
 routeSelection(RoutingPolicy policy, RouteSelect select,
-               bool calibrated_durations, bool reference_scheduler)
+               bool calibrated_durations)
 {
     return std::make_unique<RouteSelectionPass>(policy, select,
-                                                calibrated_durations,
-                                                reference_scheduler);
+                                                calibrated_durations);
 }
 
 std::unique_ptr<RoutingPass>

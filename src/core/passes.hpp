@@ -3,11 +3,11 @@
  * The concrete compiler passes: every Table 1 stage as a composable
  * pipeline element, plus factories for fluent PipelineBuilder use.
  *
- * Placement passes wrap the algorithms the monolithic mappers used
- * (greedyVertexPlacement, greedyEdgePlacement, solveSmtMapping), so a
- * pipeline built from them is bit-identical to the corresponding
- * legacy Mapper — tests/test_pipeline.cpp asserts this for all seven
- * MapperKind bundles on the Table 2 benchmark set.
+ * Placement passes wrap free placement algorithms (qiskitTrivialLayout,
+ * greedyVertexPlacement, greedyEdgePlacement and sabrePlacementDetailed
+ * in src/mappers/, solveSmtMapping in src/solver/). The bundles built
+ * from them are pinned by the grid goldens in
+ * tests/test_grid_identity.cpp.
  */
 
 #ifndef QC_CORE_PASSES_HPP
@@ -38,7 +38,7 @@ std::unique_ptr<PlacementPass> greedyEdge();
  * best initial layout by tracking-router predicted success (see
  * mappers/sabre_mapper.hpp). Composes with any routing/scheduling
  * pass; the MapperKind::Sabre bundle pairs it with the live-tracking
- * scheduler.
+ * scheduler, whose cost model the refinement optimizes for.
  */
 std::unique_ptr<PlacementPass> sabrePlacement(SabreOptions options = {});
 
@@ -46,7 +46,7 @@ std::unique_ptr<PlacementPass> sabrePlacement(SabreOptions options = {});
  * SMT placement (T-SMT / T-SMT* / R-SMT*, paper Sec. 4). On solver
  * failure it installs the trivial fallback layout and reports a
  * degraded solver-timeout / infeasible status — the pipeline still
- * produces a runnable program, exactly like SmtMapper did.
+ * produces a runnable program.
  */
 std::unique_ptr<PlacementPass> smt(SmtMapperOptions options);
 
@@ -54,14 +54,11 @@ std::unique_ptr<PlacementPass> smt(SmtMapperOptions options);
  * Standard route selection: reserve under `policy`; if the placement
  * stage fixed per-gate junctions (SMT solutions, Qiskit's row-first
  * routes) and the policy is 1BP, honor them, otherwise pick routes by
- * `select`. `reference_scheduler` pins the downstream list scheduler
- * to its legacy full-scan implementation (the bit-identity oracle;
- * see SchedulerOptions::referenceMode).
+ * `select`.
  */
 std::unique_ptr<RoutingPass>
 routeSelection(RoutingPolicy policy, RouteSelect select,
-               bool calibrated_durations = true,
-               bool reference_scheduler = false);
+               bool calibrated_durations = true);
 
 /**
  * Marker for schedulers that route live (the tracking router): the
@@ -82,9 +79,10 @@ std::unique_ptr<SchedulingPass>
 trackingScheduling(TrackingOptions options = {});
 
 /**
- * Route-exact reliability prediction: per-CNOT routed EC values and
- * readout reliabilities under the scheduler's own route choices
- * (identical to the legacy Mapper::finalize accounting).
+ * Route-exact reliability prediction (Eq. 12-style, unweighted): the
+ * sum of log readout reliabilities and log routed-CNOT EC values,
+ * following the list scheduler's own route choices so predictions
+ * match the emitted code exactly.
  */
 std::unique_ptr<PredictionPass> reliabilityPrediction();
 

@@ -23,7 +23,7 @@
  *   if (!r.ok())      report(r.status, r.failedStage);
  *
  * The Table 1 bundles are available as standardPipeline() in
- * core/compiler.hpp; NoiseAdaptiveCompiler is a thin shim over them.
+ * core/compiler.hpp; NoiseAdaptiveCompiler runs them.
  */
 
 #ifndef QC_CORE_PIPELINE_HPP
@@ -33,9 +33,9 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled_program.hpp"
 #include "ir/circuit.hpp"
 #include "machine/machine.hpp"
-#include "mappers/mapper.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/schedule.hpp"
 #include "support/cancel.hpp"
@@ -235,10 +235,9 @@ class Pipeline
                        const CancelToken *cancel = nullptr) const;
 
     /**
-     * Legacy-contract convenience: return the program, throwing
-     * FatalError when no program could be produced (matches the old
-     * Mapper::compile behavior; degraded solver fallbacks still
-     * return their program, as SmtMapper always did).
+     * Throwing convenience: return the program, throwing FatalError
+     * when no program could be produced or the verifier rejected it.
+     * Degraded solver fallbacks still return their program.
      */
     CompiledProgram compile(const Circuit &prog) const;
 

@@ -25,7 +25,7 @@
 #include <cstdint>
 #include <string>
 
-#include "mappers/mapper.hpp"
+#include "core/compiled_program.hpp"
 
 namespace qc::daemon {
 

@@ -2,70 +2,23 @@
  * @file
  * Noise-aware greedy heuristics GreedyV* and GreedyE* (paper Sec. 5).
  *
- * Both precompute Dijkstra most-reliable paths between all hardware
- * qubit pairs (edge weights -log(1 - cnot_err)), place qubits greedily
- * using the program interaction graph, schedule with the
- * earliest-ready-gate-first policy and route along the precomputed
- * paths.
+ * Both place qubits greedily using the program interaction graph and
+ * the machine's most-reliable-path costs (edge weights
+ * -log(1 - cnot_err)); their pipeline bundles then schedule with the
+ * earliest-ready-gate-first policy along the precomputed paths.
  */
 
 #ifndef QC_MAPPERS_GREEDY_MAPPER_HPP
 #define QC_MAPPERS_GREEDY_MAPPER_HPP
 
-#include "mappers/mapper.hpp"
+#include <utility>
+#include <vector>
+
+#include "ir/circuit.hpp"
+#include "machine/machine.hpp"
+#include "sched/list_scheduler.hpp"
 
 namespace qc {
-
-/**
- * GreedyV*: place program qubits in descending CNOT-degree order; the
- * first qubit goes to the best-readout high-degree hardware location,
- * each subsequent qubit to the free location with the most reliable
- * paths to its already-placed neighbors.
- */
-class GreedyVMapper : public Mapper
-{
-  public:
-    explicit GreedyVMapper(const Machine &machine) : Mapper(machine) {}
-
-    std::string name() const override { return "GreedyV*"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-};
-
-/**
- * GreedyE*: place program CNOT edges in descending weight order; the
- * heaviest edge goes to the hardware edge with maximal combined CNOT
- * and readout reliability, then unmapped endpoints are attached to
- * maximize path reliability to their placed neighbors.
- */
-class GreedyEMapper : public Mapper
-{
-  public:
-    explicit GreedyEMapper(const Machine &machine) : Mapper(machine) {}
-
-    std::string name() const override { return "GreedyE*"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-};
-
-/**
- * GreedyE*+track: GreedyE*'s initial placement combined with the
- * live-tracking router (one-way SWAP chains, drifting layout) instead
- * of the paper's SWAP-and-restore scheme — the restore-vs-track
- * ablation called out in DESIGN.md.
- */
-class GreedyETrackMapper : public Mapper
-{
-  public:
-    explicit GreedyETrackMapper(const Machine &machine)
-        : Mapper(machine)
-    {
-    }
-
-    std::string name() const override { return "GreedyE*+track"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-};
 
 /**
  * Shared placement utility: the free hardware location minimizing the
@@ -79,18 +32,22 @@ HwQubit bestAttachedLocation(const Machine &machine,
                              const std::vector<bool> &used);
 
 /**
- * GreedyE*'s placement pass alone: heaviest-edge-first placement of
- * the program interaction graph onto the machine (Sec. 5.2). Shared
- * by GreedyEMapper, GreedyETrackMapper and the pipeline's
- * greedy-edge placement pass.
+ * GreedyE* placement: heaviest-edge-first placement of the program
+ * interaction graph onto the machine (Sec. 5.2). The heaviest edge
+ * goes to the hardware edge with maximal combined CNOT and readout
+ * reliability, then unmapped endpoints are attached to maximize path
+ * reliability to their placed neighbors. Throws FatalError when the
+ * program does not fit.
  */
 std::vector<HwQubit> greedyEdgePlacement(const Machine &machine,
                                          const Circuit &prog);
 
 /**
- * GreedyV*'s placement pass alone: descending CNOT-degree placement
- * of program qubits (Sec. 5.1). Shared by GreedyVMapper and the
- * pipeline's greedy-vertex placement pass.
+ * GreedyV* placement: program qubits in descending CNOT-degree order
+ * (Sec. 5.1). The first qubit goes to the best-readout high-degree
+ * hardware location, each subsequent qubit to the free location with
+ * the most reliable paths to its already-placed neighbors. Throws
+ * FatalError when the program does not fit.
  */
 std::vector<HwQubit> greedyVertexPlacement(const Machine &machine,
                                            const Circuit &prog);

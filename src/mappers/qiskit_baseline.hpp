@@ -4,20 +4,24 @@
  * paper compares against (Sec. 7, Fig. 8a): program qubits are placed
  * in lexicographic order onto hardware qubits without consulting CNOT
  * or readout error rates, and CNOTs between non-adjacent qubits are
- * routed along fixed shortest paths.
+ * routed along fixed shortest paths. The pass pipeline's Qiskit
+ * bundle (core/compiler.hpp) is built from the two functions below.
  */
 
 #ifndef QC_MAPPERS_QISKIT_BASELINE_HPP
 #define QC_MAPPERS_QISKIT_BASELINE_HPP
 
-#include "mappers/mapper.hpp"
+#include <vector>
+
+#include "ir/circuit.hpp"
+#include "support/types.hpp"
 
 namespace qc {
 
 /**
  * Lexicographic (trivial) placement: program qubit i -> hardware
  * qubit i, exactly what the paper observed Qiskit 0.5.7 doing.
- * Shared by QiskitBaselineMapper and the pipeline's Qiskit pass.
+ * The pipeline's Qiskit placement pass and the SMT fallback use it.
  */
 std::vector<HwQubit> qiskitTrivialLayout(const Circuit &prog);
 
@@ -26,20 +30,6 @@ std::vector<HwQubit> qiskitTrivialLayout(const Circuit &prog);
  * other gates (no calibration input).
  */
 std::vector<int> qiskitRowFirstJunctions(const Circuit &prog);
-
-/** The paper's industry-standard baseline. */
-class QiskitBaselineMapper : public Mapper
-{
-  public:
-    explicit QiskitBaselineMapper(const Machine &machine)
-        : Mapper(machine)
-    {
-    }
-
-    std::string name() const override { return "Qiskit"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-};
 
 } // namespace qc
 

@@ -1,10 +1,8 @@
 #include "sabre_mapper.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "mappers/greedy_mapper.hpp"
@@ -16,8 +14,6 @@
 namespace qc {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /** A program CNOT reduced to its qubit pair. */
 struct CnotPair
@@ -395,48 +391,6 @@ sabrePlacementDetailed(const Machine &machine, const Circuit &prog,
         }
     }
     return result;
-}
-
-std::vector<HwQubit>
-sabrePlacement(const Machine &machine, const Circuit &prog,
-               const SabreOptions &options)
-{
-    return sabrePlacementDetailed(machine, prog, options).layout;
-}
-
-CompileStatus
-SabrePlacementPass::run(CompileContext &ctx) const
-{
-    const Circuit &prog = ctx.circuit();
-    const int n_prog = prog.numQubits();
-    const int n_hw = ctx.mach().numQubits();
-    if (n_prog > n_hw)
-        return CompileStatus::infeasible(
-            "program needs " + std::to_string(n_prog) +
-            " qubits but machine has " + std::to_string(n_hw));
-
-    SabrePlacementResult result =
-        sabrePlacementDetailed(ctx.mach(), prog, options_, ctx.cancel);
-    ctx.layout = std::move(result.layout);
-
-    std::ostringstream oss;
-    oss << result.roundTrips << " round trips, lookahead "
-        << options_.lookahead << ", best pred. success "
-        << result.predictedSuccess;
-    ctx.addNote(oss.str());
-    return CompileStatus::success();
-}
-
-CompiledProgram
-SabreMapper::compile(const Circuit &prog)
-{
-    auto t0 = Clock::now();
-    CompiledProgram out = finalizeTracked(
-        machine_, prog, sabrePlacement(machine_, prog, options_));
-    out.mapperName = name();
-    out.compileSeconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    return out;
 }
 
 } // namespace qc

@@ -23,14 +23,19 @@
  *
  * Works on any Topology (grid, heavy-hex, ring, edge-list): the
  * search only consumes hop distances, coupling edges and calibration
- * tables.
+ * tables. passes::sabrePlacement() (core/passes.hpp) runs it as a
+ * pipeline placement stage.
  */
 
 #ifndef QC_MAPPERS_SABRE_MAPPER_HPP
 #define QC_MAPPERS_SABRE_MAPPER_HPP
 
-#include "core/pipeline.hpp"
-#include "mappers/mapper.hpp"
+#include <cstdint>
+#include <vector>
+
+#include "ir/circuit.hpp"
+#include "machine/machine.hpp"
+#include "support/cancel.hpp"
 
 namespace qc {
 
@@ -90,54 +95,6 @@ SabrePlacementResult sabrePlacementDetailed(const Machine &machine,
                                             = {},
                                             const CancelToken *cancel
                                             = nullptr);
-
-/** The refined initial layout alone (same contract as above). */
-std::vector<HwQubit> sabrePlacement(const Machine &machine,
-                                    const Circuit &prog,
-                                    const SabreOptions &options = {});
-
-/**
- * Sabre as a first-class placement stage: composes with every
- * routing/scheduling pass (the standard MapperKind::Sabre bundle
- * pairs it with the live-tracking scheduler, whose cost model the
- * refinement optimizes for).
- */
-class SabrePlacementPass : public PlacementPass
-{
-  public:
-    explicit SabrePlacementPass(SabreOptions options = {})
-        : options_(options)
-    {
-    }
-
-    std::string name() const override { return "Sabre"; }
-
-    CompileStatus run(CompileContext &ctx) const override;
-
-  private:
-    SabreOptions options_;
-};
-
-/**
- * Legacy monolithic form (the pipeline-equivalence reference, like
- * GreedyETrackMapper): sabre placement + live-tracking routing.
- */
-class SabreMapper : public Mapper
-{
-  public:
-    explicit SabreMapper(const Machine &machine,
-                         SabreOptions options = {})
-        : Mapper(machine), options_(options)
-    {
-    }
-
-    std::string name() const override { return "Sabre"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-
-  private:
-    SabreOptions options_;
-};
 
 } // namespace qc
 

@@ -1,7 +1,6 @@
 #include "list_scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <utility>
 
@@ -58,18 +57,6 @@ ListScheduler::chooseRoute(HwQubit c, HwQubit t, int gate_idx) const
     }
     QC_PANIC("unknown route selection");
 }
-
-namespace {
-
-/** An active space-time reservation (reference-mode full scan). */
-struct Reservation
-{
-    Region region;
-    Timeslot start;
-    Timeslot end;
-};
-
-} // namespace
 
 Schedule
 ListScheduler::run(const Circuit &prog,
@@ -183,188 +170,117 @@ ListScheduler::run(const Circuit &prog,
         return finish;
     };
 
-    if (options_.referenceMode) {
-        // ---- Reference implementation: full scans every iteration.
-        // Kept verbatim as the oracle the indexed path is tested
-        // against (bit-identity on every input).
-        std::vector<int> ready;
-        for (int r : dag.roots())
-            ready.push_back(r);
+    // Earliest-ready-gate-first, computed incrementally.
+    //
+    // Reservations live in a per-cell ledger instead of a flat
+    // history, and each ready gate's feasible start is cached:
+    // a commit only dirties the ready gates it can actually move
+    // (shared touched qubits, or — for routed gates — a spatially
+    // overlapping region). Everything else keeps its cached
+    // value, which stays exact because feasible starts depend
+    // only on predecessor finishes (fixed once ready), the
+    // touched qubits' availability, and spatially overlapping
+    // reservations.
+    //
+    // Selection uses a lazy min-heap keyed by (start, gate):
+    // cached values only grow, so a stale key is a lower bound;
+    // a clean popped entry is therefore the true lexicographic
+    // minimum — the same gate a full scan of the ready set would
+    // commit (tests/reference_scheduler.hpp keeps that scan as the
+    // test oracle).
+    //
+    // Commit starts are monotone non-decreasing (the minimum
+    // feasible start never shrinks as reservations accumulate),
+    // which is what lets the ledger clamp queries to the frontier
+    // and retire reservations behind it without changing any
+    // result.
+    ReservationLedger ledger(topo.numQubits());
 
-        std::vector<Reservation> reservations;
+    std::vector<Timeslot> cached(n_gates, 0);
+    std::vector<char> dirty(n_gates, 0);
+    std::vector<char> done(n_gates, 0);
+    std::vector<int> ready_list;
+    std::vector<int> ready_pos(n_gates, -1);
+    std::vector<int> qubit_mark(topo.numQubits(), -1);
+    int commit_serial = -1;
 
-        auto feasible_start = [&](int gi) {
-            const GatePlan &plan = plans[gi];
-            Timeslot start = lower_bound(gi);
-            if (plan.routed) {
-                // Push past every spatially-overlapping reservation
-                // that would overlap in time (S(i,j) => !T(i,j),
-                // Eq. 7-9).
-                bool moved = true;
-                while (moved) {
-                    moved = false;
-                    for (const auto &res : reservations) {
-                        bool time_overlap =
-                            start < res.end &&
-                            res.start < start + plan.duration;
-                        if (time_overlap &&
-                            plan.region.overlaps(res.region)) {
-                            start = res.end;
-                            moved = true;
-                        }
-                    }
-                }
-            }
-            return start;
-        };
+    using HeapEntry = std::pair<Timeslot, int>;
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                        std::greater<HeapEntry>>
+        heap;
 
-        size_t scheduled = 0;
-        while (scheduled < n_gates) {
-            throwIfCancelled(cancel, "scheduling cancelled");
-            QC_ASSERT(!ready.empty(),
-                      "scheduler deadlock: no ready gates");
+    auto recompute = [&](int gi) {
+        const GatePlan &plan = plans[gi];
+        Timeslot s = lower_bound(gi);
+        if (plan.routed)
+            s = ledger.feasibleStart(plan.region, plan.duration, s);
+        cached[gi] = s;
+    };
+    auto make_ready = [&](int gi) {
+        ready_pos[gi] = static_cast<int>(ready_list.size());
+        ready_list.push_back(gi);
+        recompute(gi);
+        heap.push({cached[gi], gi});
+    };
+    for (int r : dag.roots())
+        make_ready(r);
 
-            // Earliest-ready-gate-first: commit the ready gate with
-            // the smallest feasible start (ties: lowest index).
-            int best_gate = -1;
-            Timeslot best_start = std::numeric_limits<Timeslot>::max();
-            size_t best_pos = 0;
-            for (size_t k = 0; k < ready.size(); ++k) {
-                int gi = ready[k];
-                Timeslot s = feasible_start(gi);
-                if (s < best_start ||
-                    (s == best_start && gi < best_gate)) {
-                    best_start = s;
-                    best_gate = gi;
-                    best_pos = k;
-                }
-            }
-            ready.erase(ready.begin() + static_cast<long>(best_pos));
-
-            const GatePlan &plan = plans[best_gate];
-            Timeslot finish = commit(best_gate, best_start);
-            if (plan.routed)
-                reservations.push_back(
-                    {plan.region, best_start, finish});
-
-            for (int s : dag.succs(best_gate)) {
-                if (--preds_left[s] == 0)
-                    ready.push_back(s);
-            }
-            ++scheduled;
-        }
-    } else {
-        // ---- Indexed implementation: same commit sequence, computed
-        // incrementally.
-        //
-        // Reservations live in a per-cell ledger instead of a flat
-        // history, and each ready gate's feasible start is cached:
-        // a commit only dirties the ready gates it can actually move
-        // (shared touched qubits, or — for routed gates — a spatially
-        // overlapping region). Everything else keeps its cached
-        // value, which stays exact because feasible starts depend
-        // only on predecessor finishes (fixed once ready), the
-        // touched qubits' availability, and spatially overlapping
-        // reservations.
-        //
-        // Selection uses a lazy min-heap keyed by (start, gate):
-        // cached values only grow, so a stale key is a lower bound;
-        // a clean popped entry is therefore the true lexicographic
-        // minimum — the same gate the reference scan commits.
-        //
-        // Commit starts are monotone non-decreasing (the minimum
-        // feasible start never shrinks as reservations accumulate),
-        // which is what lets the ledger clamp queries to the frontier
-        // and retire reservations behind it without changing any
-        // result.
-        ReservationLedger ledger(topo.numQubits());
-
-        std::vector<Timeslot> cached(n_gates, 0);
-        std::vector<char> dirty(n_gates, 0);
-        std::vector<char> done(n_gates, 0);
-        std::vector<int> ready_list;
-        std::vector<int> ready_pos(n_gates, -1);
-        std::vector<int> qubit_mark(topo.numQubits(), -1);
-        int commit_serial = -1;
-
-        using HeapEntry = std::pair<Timeslot, int>;
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                            std::greater<HeapEntry>>
-            heap;
-
-        auto recompute = [&](int gi) {
-            const GatePlan &plan = plans[gi];
-            Timeslot s = lower_bound(gi);
-            if (plan.routed)
-                s = ledger.feasibleStart(plan.region, plan.duration, s);
-            cached[gi] = s;
-        };
-        auto make_ready = [&](int gi) {
-            ready_pos[gi] = static_cast<int>(ready_list.size());
-            ready_list.push_back(gi);
+    size_t scheduled = 0;
+    while (scheduled < n_gates) {
+        throwIfCancelled(cancel, "scheduling cancelled");
+        QC_ASSERT(!heap.empty(),
+                  "scheduler deadlock: no ready gates");
+        auto [key, gi] = heap.top();
+        heap.pop();
+        if (done[gi] || key != cached[gi])
+            continue; // superseded duplicate
+        if (dirty[gi]) {
+            dirty[gi] = 0;
             recompute(gi);
             heap.push({cached[gi], gi});
-        };
-        for (int r : dag.roots())
-            make_ready(r);
-
-        size_t scheduled = 0;
-        while (scheduled < n_gates) {
-            throwIfCancelled(cancel, "scheduling cancelled");
-            QC_ASSERT(!heap.empty(),
-                      "scheduler deadlock: no ready gates");
-            auto [key, gi] = heap.top();
-            heap.pop();
-            if (done[gi] || key != cached[gi])
-                continue; // superseded duplicate
-            if (dirty[gi]) {
-                dirty[gi] = 0;
-                recompute(gi);
-                heap.push({cached[gi], gi});
-                continue;
-            }
-
-            done[gi] = 1;
-            const int pos = ready_pos[gi];
-            const int back = ready_list.back();
-            ready_list[pos] = back;
-            ready_pos[back] = pos;
-            ready_list.pop_back();
-            ready_pos[gi] = -1;
-
-            const GatePlan &plan = plans[gi];
-            Timeslot finish = commit(gi, key);
-            ledger.advanceFrontier(key);
-            if (plan.routed)
-                ledger.reserve(plan.region, key, finish);
-
-            // Dirty exactly the ready gates this commit can move.
-            ++commit_serial;
-            for (HwQubit h : plan.touched)
-                qubit_mark[h] = commit_serial;
-            for (int g : ready_list) {
-                if (dirty[g])
-                    continue;
-                bool hit = false;
-                for (HwQubit h : plans[g].touched) {
-                    if (qubit_mark[h] == commit_serial) {
-                        hit = true;
-                        break;
-                    }
-                }
-                if (!hit && plan.routed && plans[g].routed &&
-                    plans[g].region.overlaps(plan.region))
-                    hit = true;
-                if (hit)
-                    dirty[g] = 1;
-            }
-
-            for (int s : dag.succs(gi)) {
-                if (--preds_left[s] == 0)
-                    make_ready(s);
-            }
-            ++scheduled;
+            continue;
         }
+
+        done[gi] = 1;
+        const int pos = ready_pos[gi];
+        const int back = ready_list.back();
+        ready_list[pos] = back;
+        ready_pos[back] = pos;
+        ready_list.pop_back();
+        ready_pos[gi] = -1;
+
+        const GatePlan &plan = plans[gi];
+        Timeslot finish = commit(gi, key);
+        ledger.advanceFrontier(key);
+        if (plan.routed)
+            ledger.reserve(plan.region, key, finish);
+
+        // Dirty exactly the ready gates this commit can move.
+        ++commit_serial;
+        for (HwQubit h : plan.touched)
+            qubit_mark[h] = commit_serial;
+        for (int g : ready_list) {
+            if (dirty[g])
+                continue;
+            bool hit = false;
+            for (HwQubit h : plans[g].touched) {
+                if (qubit_mark[h] == commit_serial) {
+                    hit = true;
+                    break;
+                }
+            }
+            if (!hit && plan.routed && plans[g].routed &&
+                plans[g].region.overlaps(plan.region))
+                hit = true;
+            if (hit)
+                dirty[g] = 1;
+        }
+
+        for (int s : dag.succs(gi)) {
+            if (--preds_left[s] == 0)
+                make_ready(s);
+        }
+        ++scheduled;
     }
 
     // Last physical use of each qubit (macro windows are conservative

@@ -8,11 +8,10 @@
  * CNOTs into SWAP chains, and forbids CNOTs whose reserved regions
  * overlap from overlapping in time (constraints 7-9).
  *
- * Two interchangeable inner loops produce bit-identical schedules:
- * the default indexed path (per-cell ReservationLedger + an
+ * The inner loop is indexed: a per-cell ReservationLedger plus an
  * incremental ready-queue that only recomputes gates a commit could
- * move) and the legacy full-scan path behind
- * SchedulerOptions::referenceMode, kept as the testing oracle.
+ * move. It is bit-identical to the plain full scan kept as the test
+ * oracle in tests/reference_scheduler.hpp.
  */
 
 #ifndef QC_SCHED_LIST_SCHEDULER_HPP
@@ -45,16 +44,6 @@ struct SchedulerOptions
      * (index into Machine::oneBendPath), -1 for non-CNOT gates.
      */
     std::vector<int> fixedJunctions;
-
-    /**
-     * Run the legacy O(steps x ready x reservations) scanning
-     * scheduler instead of the indexed incremental one. The two are
-     * bit-identical on every input (the indexed path computes the
-     * same fixed points and commits in the same order); the reference
-     * scan is kept as the oracle for equivalence testing and as the
-     * normalizing denominator in bench_scheduler_hotpath.
-     */
-    bool referenceMode = false;
 };
 
 /**

@@ -20,7 +20,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "mappers/mapper.hpp"
+#include "core/compiled_program.hpp"
 
 namespace qc::service {
 

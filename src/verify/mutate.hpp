@@ -17,8 +17,8 @@
 #ifndef QC_VERIFY_MUTATE_HPP
 #define QC_VERIFY_MUTATE_HPP
 
+#include "core/compiled_program.hpp"
 #include "machine/machine.hpp"
-#include "mappers/mapper.hpp"
 #include "support/rng.hpp"
 
 namespace qc {

@@ -26,9 +26,9 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled_program.hpp"
 #include "ir/circuit.hpp"
 #include "machine/machine.hpp"
-#include "mappers/mapper.hpp"
 
 namespace qc {
 

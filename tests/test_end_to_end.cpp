@@ -39,8 +39,7 @@ TEST_P(EndToEnd, CompiledProgramComputesCorrectAnswer)
     CompilerOptions opts;
     opts.mapper = p.mapper;
     opts.smtTimeoutMs = 30'000;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(b.circuit);
+    CompiledProgram cp = test::compileWith(m, opts, b.circuit);
 
     validateLayout(cp.layout, b.circuit.numQubits(), m.numQubits());
     expectScheduleWellFormed(m, cp.schedule);
@@ -109,7 +108,7 @@ TEST(PaperHeadlines, RSmtStarBeatsQiskitOnSuccessRate)
     // The paper's headline: noise-adaptive optimal mapping wins by a
     // large factor on real runs (geomean 2.9x). One day, three
     // benchmarks with movement-heavy baselines.
-    Machine m = day0();
+    auto m = std::make_shared<const Machine>(day0());
     double ratio_product = 1.0;
     int n = 0;
     for (const char *name : {"BV4", "BV8", "HS6"}) {
@@ -145,9 +144,9 @@ TEST(PaperHeadlines, DailyRecompilationAdaptsLayouts)
 
     std::vector<std::vector<HwQubit>> layouts;
     for (int day = 0; day < 5; ++day) {
-        Machine m = env().machineForDay(day);
-        auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-        layouts.push_back(mapper->compile(b.circuit).layout);
+        layouts.push_back(
+            test::compileWith(env().machineForDay(day), opts, b.circuit)
+                .layout);
     }
     bool changed = false;
     for (size_t i = 1; i < layouts.size(); ++i)
@@ -160,7 +159,7 @@ TEST(PaperHeadlines, ZeroMovementBenchmarksBeatMovementOnes)
     // Sec. 7: benchmarks mappable without SWAPs (BV, HS, QFT, Adder)
     // succeed more often than the triangle kernels under the same
     // compiler.
-    Machine m = day0();
+    auto m = std::make_shared<const Machine>(day0());
     CompilerOptions opts;
     opts.mapper = MapperKind::RSmtStar;
     opts.smtTimeoutMs = 30'000;

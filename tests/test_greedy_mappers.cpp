@@ -1,8 +1,8 @@
 /**
  * @file
- * Greedy heuristic tests (GreedyV*, GreedyE*): valid deterministic
- * layouts across all benchmarks, placement-policy behaviors, and the
- * shared attach helper.
+ * Greedy heuristic tests (the GreedyV* and GreedyE* bundles): valid
+ * deterministic layouts across all benchmarks, placement-policy
+ * behaviors, and the shared attach helper.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 namespace qc {
 namespace {
 
+using test::compileWith;
 using test::day0;
 using test::expectScheduleWellFormed;
 
@@ -28,11 +29,8 @@ TEST_P(GreedyAllBenchmarks, BothHeuristicsProduceValidSchedules)
     Machine m = day0();
     Benchmark b = benchmarkByName(GetParam());
 
-    GreedyVMapper gv(m);
-    GreedyEMapper ge(m);
-    for (Mapper *mapper : {static_cast<Mapper *>(&gv),
-                           static_cast<Mapper *>(&ge)}) {
-        CompiledProgram cp = mapper->compile(b.circuit);
+    for (MapperKind kind : {MapperKind::GreedyV, MapperKind::GreedyE}) {
+        CompiledProgram cp = compileWith(m, kind, b.circuit);
         validateLayout(cp.layout, b.circuit.numQubits(), m.numQubits());
         expectScheduleWellFormed(m, cp.schedule);
         EXPECT_GT(cp.predictedSuccess, 0.0);
@@ -45,9 +43,8 @@ TEST_P(GreedyAllBenchmarks, Deterministic)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName(GetParam());
-    GreedyEMapper mapper(m);
-    CompiledProgram a = mapper.compile(b.circuit);
-    CompiledProgram c = mapper.compile(b.circuit);
+    CompiledProgram a = compileWith(m, MapperKind::GreedyE, b.circuit);
+    CompiledProgram c = compileWith(m, MapperKind::GreedyE, b.circuit);
     EXPECT_EQ(a.layout, c.layout);
     EXPECT_EQ(a.duration, c.duration);
 }
@@ -61,8 +58,7 @@ TEST(GreedyE, HeaviestEdgeLandsOnAdjacentPair)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName("HS2"); // single weight-2 edge
-    GreedyEMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = compileWith(m, MapperKind::GreedyE, b.circuit);
     EXPECT_TRUE(m.topo().adjacent(cp.layout[0], cp.layout[1]));
     EXPECT_EQ(cp.swapCount, 0);
 }
@@ -73,8 +69,7 @@ TEST(GreedyE, PicksAReliableEdgeForTheSeed)
     // hardware edges; it must beat the machine-wide median edge.
     Machine m = day0();
     Benchmark b = benchmarkByName("HS2");
-    GreedyEMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = compileWith(m, MapperKind::GreedyE, b.circuit);
     EdgeId chosen = m.topo().edgeBetween(cp.layout[0], cp.layout[1]);
     ASSERT_NE(chosen, kInvalidEdge);
 
@@ -95,8 +90,7 @@ TEST(GreedyV, SeedsOnMaxDegreeLocation)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName("BV4");
-    GreedyVMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = compileWith(m, MapperKind::GreedyV, b.circuit);
     // The heaviest program qubit is the ancilla (qubit 3); it must sit
     // on an interior (degree-3) hardware qubit.
     EXPECT_EQ(m.topo().neighbors(cp.layout[3]).size(), 3u);
@@ -111,10 +105,10 @@ TEST(GreedyMappers, HandleIsolatedQubits)
     c.h(3);
     for (int q = 0; q < 4; ++q)
         c.measure(q, q);
-    GreedyVMapper gv(m);
-    GreedyEMapper ge(m);
-    validateLayout(gv.compile(c).layout, 4, m.numQubits());
-    validateLayout(ge.compile(c).layout, 4, m.numQubits());
+    validateLayout(compileWith(m, MapperKind::GreedyV, c).layout, 4,
+                   m.numQubits());
+    validateLayout(compileWith(m, MapperKind::GreedyE, c).layout, 4,
+                   m.numQubits());
 }
 
 TEST(GreedyMappers, HandleDisconnectedComponents)
@@ -127,8 +121,7 @@ TEST(GreedyMappers, HandleDisconnectedComponents)
     c.cnot(4, 5);
     for (int q = 0; q < 6; ++q)
         c.measure(q, q);
-    GreedyEMapper ge(m);
-    CompiledProgram cp = ge.compile(c);
+    CompiledProgram cp = compileWith(m, MapperKind::GreedyE, c);
     validateLayout(cp.layout, 6, m.numQubits());
     expectScheduleWellFormed(m, cp.schedule);
 }
@@ -139,10 +132,13 @@ TEST(GreedyMappers, RejectOversizedPrograms)
     CalibrationModel model(topo, 5);
     Machine m(topo, model.forDay(0));
     Benchmark b = benchmarkByName("BV6");
-    GreedyVMapper gv(m);
-    GreedyEMapper ge(m);
-    EXPECT_THROW(gv.compile(b.circuit), FatalError);
-    EXPECT_THROW(ge.compile(b.circuit), FatalError);
+    EXPECT_THROW(compileWith(m, MapperKind::GreedyV, b.circuit),
+                 FatalError);
+    EXPECT_THROW(compileWith(m, MapperKind::GreedyE, b.circuit),
+                 FatalError);
+    // The placement functions keep the throwing contract themselves.
+    EXPECT_THROW(greedyVertexPlacement(m, b.circuit), FatalError);
+    EXPECT_THROW(greedyEdgePlacement(m, b.circuit), FatalError);
 }
 
 TEST(BestAttachedLocation, MinimizesWeightedPathCost)

@@ -12,6 +12,7 @@
 namespace qc {
 namespace {
 
+using test::compileWith;
 using test::day0;
 using test::expectScheduleWellFormed;
 
@@ -23,8 +24,7 @@ TEST_P(QiskitAllBenchmarks, IdentityLayoutAndValidSchedule)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName(GetParam());
-    QiskitBaselineMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = compileWith(m, MapperKind::Qiskit, b.circuit);
     EXPECT_EQ(cp.mapperName, "Qiskit");
     ASSERT_EQ(static_cast<int>(cp.layout.size()),
               b.circuit.numQubits());
@@ -46,8 +46,7 @@ TEST(QiskitBaseline, Bv8PaysHeavySwapCost)
     // there and back).
     Machine m = day0();
     Benchmark b = benchmarkByName("BV8");
-    QiskitBaselineMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = compileWith(m, MapperKind::Qiskit, b.circuit);
     EXPECT_EQ(cp.swapCount, 2 * ((3 - 1) + (2 - 1) + (1 - 1)));
     EXPECT_EQ(cp.schedule.hwCnotCount(), 3 + 3 * cp.swapCount);
 }
@@ -56,9 +55,8 @@ TEST(QiskitBaseline, DeterministicRoutes)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName("Toffoli");
-    QiskitBaselineMapper mapper(m);
-    CompiledProgram a = mapper.compile(b.circuit);
-    CompiledProgram c = mapper.compile(b.circuit);
+    CompiledProgram a = compileWith(m, MapperKind::Qiskit, b.circuit);
+    CompiledProgram c = compileWith(m, MapperKind::Qiskit, b.circuit);
     EXPECT_EQ(a.duration, c.duration);
     EXPECT_EQ(a.swapCount, c.swapCount);
     ASSERT_EQ(a.junctions.size(), c.junctions.size());
@@ -73,8 +71,8 @@ TEST(QiskitBaseline, IgnoresCalibration)
     Machine m0 = env.machineForDay(0);
     Machine m5 = env.machineForDay(5);
     Benchmark b = benchmarkByName("BV4");
-    CompiledProgram a = QiskitBaselineMapper(m0).compile(b.circuit);
-    CompiledProgram c = QiskitBaselineMapper(m5).compile(b.circuit);
+    CompiledProgram a = compileWith(m0, MapperKind::Qiskit, b.circuit);
+    CompiledProgram c = compileWith(m5, MapperKind::Qiskit, b.circuit);
     EXPECT_EQ(a.layout, c.layout);
 }
 

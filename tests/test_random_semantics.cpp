@@ -70,8 +70,7 @@ TEST_P(RandomSemantics, CompiledDistributionMatchesSource)
     CompilerOptions opts;
     opts.mapper = p.mapper;
     opts.smtTimeoutMs = 20'000;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(prog);
+    CompiledProgram cp = test::compileWith(m, opts, prog);
 
     auto source = idealDistribution(prog);
     auto compiled =

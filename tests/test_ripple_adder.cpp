@@ -106,10 +106,7 @@ TEST_P(RippleAdderRouting, FourBitAdderCompilesCorrectlyOnIbmq16)
     Machine m = day0();
     Benchmark bench = makeRippleCarryAdder(4, 11, 6);
 
-    CompilerOptions opts;
-    opts.mapper = GetParam();
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(bench.circuit);
+    CompiledProgram cp = test::compileWith(m, GetParam(), bench.circuit);
     expectScheduleWellFormed(m, cp.schedule);
 
     auto ideal = runNoisy(m, cp.schedule, bench.circuit.numClbits(),
@@ -138,10 +135,8 @@ TEST(RippleAdder, FiveBitAdderFillsIbmq16)
     Benchmark bench = makeRippleCarryAdder(5, 21, 10);
     ASSERT_EQ(bench.circuit.numQubits(), 16);
 
-    CompilerOptions opts;
-    opts.mapper = MapperKind::GreedyE;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(bench.circuit);
+    CompiledProgram cp =
+        test::compileWith(m, MapperKind::GreedyE, bench.circuit);
     validateLayout(cp.layout, 16, 16);
 
     auto ideal = runNoisy(m, cp.schedule, bench.circuit.numClbits(),
@@ -160,10 +155,8 @@ TEST(RippleAdder, SixBitAdderOnLargerMachine)
     Machine m(topo, model.forDay(0));
     Benchmark bench = makeRippleCarryAdder(6, 52, 23);
 
-    CompilerOptions opts;
-    opts.mapper = MapperKind::GreedyE;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(bench.circuit);
+    CompiledProgram cp =
+        test::compileWith(m, MapperKind::GreedyE, bench.circuit);
 
     EXPECT_EQ(idealOutcome(cp.hwCircuit(bench.circuit.numClbits())),
               bench.expected);

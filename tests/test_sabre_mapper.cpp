@@ -3,8 +3,9 @@
  * SABRE placement-refinement tests: determinism (repeated runs and
  * 8-thread service batches), the improve-or-tie guarantee against the
  * GreedyE*+track seed on the Table 2 set, non-grid smoke (heavy-hex,
- * ring, edge-list), composition with the standard list-scheduling
- * passes, and pipeline-vs-legacy equivalence.
+ * ring, edge-list) and composition with the standard list-scheduling
+ * passes. The Sabre bundle's exact output on the Table 2 set is
+ * pinned by tests/test_grid_identity.cpp.
  *
  * The refinement keeps the best layout by tracking-router predicted
  * success and the seed layout is itself a candidate, so Sabre can
@@ -217,7 +218,7 @@ TEST(SabrePlacement, KnobsChangeTheFingerprintedConfiguration)
 
     SabreOptions none;
     none.iterations = 0;
-    EXPECT_EQ(sabrePlacement(m, b.circuit, none),
+    EXPECT_EQ(sabrePlacementDetailed(m, b.circuit, none).layout,
               greedyEdgePlacement(m, b.circuit));
 
     CompilerOptions a = sabreOptions();
@@ -229,28 +230,6 @@ TEST(SabrePlacement, KnobsChangeTheFingerprintedConfiguration)
     b_opts.sabreLookahead = 5;
     EXPECT_NE(service::fingerprintOptions(a),
               service::fingerprintOptions(b_opts));
-}
-
-TEST(SabrePlacement, LegacyMapperMatchesPipelineBundle)
-{
-    // The monolithic SabreMapper is the pre-pipeline reference, like
-    // every other kind (test_pipeline covers the whole Table 2 set;
-    // this is the direct spot-check).
-    auto machine =
-        std::make_shared<const Machine>(env().machineForDay(0));
-    Benchmark b = benchmarkByName("Fredkin");
-    CompiledProgram legacy =
-        NoiseAdaptiveCompiler::makeMapper(*machine, sabreOptions())
-            ->compile(b.circuit);
-    PipelineResult piped =
-        standardPipeline(machine, sabreOptions()).run(b.circuit);
-    ASSERT_TRUE(piped.ok());
-    EXPECT_EQ(legacy.mapperName, piped.program.mapperName);
-    EXPECT_EQ(legacy.layout, piped.program.layout);
-    EXPECT_EQ(legacy.predictedSuccess,
-              piped.program.predictedSuccess);
-    EXPECT_TRUE(
-        legacy.schedule.identicalTo(piped.program.schedule));
 }
 
 } // namespace

@@ -2,11 +2,11 @@
  * @file
  * Reservation/scheduler hot-path stress tests: the indexed
  * incremental list scheduler (ReservationLedger + cached ready-queue)
- * must be bit-identical to the legacy full-scan implementation kept
- * behind SchedulerOptions::referenceMode — across every route
- * selection and policy on the Table 2 set, across all seven
- * MapperKind bundles, and on randomized dense-CNOT programs with
- * seeded RNG on machines larger than IBMQ16.
+ * must be bit-identical to the full-scan oracle in
+ * reference_scheduler.hpp — across every route selection and policy
+ * on the Table 2 set, across the list-scheduled MapperKind bundles,
+ * and on randomized dense-CNOT programs with seeded RNG on machines
+ * larger than IBMQ16.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <functional>
 
 #include "core/passes.hpp"
+#include "reference_scheduler.hpp"
 #include "sched/reservation_ledger.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
@@ -54,16 +55,14 @@ expectSchedulesIdentical(const Schedule &a, const Schedule &b)
     }
 }
 
-/** Run both scheduler implementations and demand identity. */
+/** Run the scheduler and the reference scan; demand identity. */
 void
 expectIndexedMatchesReference(const Machine &m, const Circuit &prog,
                               const std::vector<HwQubit> &layout,
-                              SchedulerOptions opts)
+                              const SchedulerOptions &opts)
 {
-    opts.referenceMode = false;
     Schedule indexed = ListScheduler(m, opts).run(prog, layout);
-    opts.referenceMode = true;
-    Schedule reference = ListScheduler(m, opts).run(prog, layout);
+    Schedule reference = test::referenceSchedule(m, opts, prog, layout);
     expectSchedulesIdentical(reference, indexed);
     test::expectScheduleWellFormed(m, indexed);
 }
@@ -211,7 +210,7 @@ TEST(SchedulerHotpath, UniformRandomMixMatchesToo)
 }
 
 // ------------------------------------------------------------------ //
-// All seven MapperKind bundles on the Table 2 set
+// The list-scheduled MapperKind bundles on the Table 2 set
 // ------------------------------------------------------------------ //
 
 /** Replays a previously computed placement (layout + junctions). */
@@ -251,77 +250,63 @@ class BundleIdentity : public ::testing::TestWithParam<MapperKind>
 
 /**
  * The bundles route-select differently (fixed junctions, best
- * reliability/duration, live tracking) — each must produce the same
- * program whether the scheduling stage runs indexed or reference.
- * SMT placements are solved once and replayed through a fixed
- * placement pass so Z3 nondeterminism under wall-clock budgets cannot
- * fake a diff.
+ * reliability/duration, Dijkstra) — each must produce the same
+ * program whether its scheduling stage runs indexed or as the
+ * reference scan. SMT placements are solved once and replayed
+ * through a fixed placement pass so Z3 nondeterminism under
+ * wall-clock budgets cannot fake a diff. The live-tracking bundles
+ * (GreedyE*+track, Sabre) never run the list scheduler, so they are
+ * not instantiated here.
  */
 TEST_P(BundleIdentity, IndexedEqualsReferenceOnTable2Set)
 {
     const MapperKind kind = GetParam();
     auto machine = std::make_shared<const Machine>(day0());
 
-    CompilerOptions indexed_opts;
-    indexed_opts.mapper = kind;
-    indexed_opts.smtTimeoutMs = 10'000;
-    CompilerOptions reference_opts = indexed_opts;
-    reference_opts.referenceScheduler = true;
+    CompilerOptions opts;
+    opts.mapper = kind;
+    opts.smtTimeoutMs = 10'000;
+    Pipeline standard = standardPipeline(machine, opts);
 
     for (const Benchmark &b : paperBenchmarks()) {
         SCOPED_TRACE(b.name);
 
+        Pipeline indexed = standard;
         if (isSmtKind(kind)) {
-            PipelineResult solved =
-                standardPipeline(machine, indexed_opts).run(b.circuit);
+            PipelineResult solved = standard.run(b.circuit);
             if (!solved.hasProgram)
                 continue; // solver hard-timeout; covered elsewhere
             const RouteSelect select =
                 kind == MapperKind::RSmtStar
                     ? RouteSelect::BestReliability
                     : RouteSelect::BestDuration;
-            auto replay = [&](bool reference) {
-                return Pipeline::forMachine(machine)
-                    .placement(std::make_unique<FixedPlacementPass>(
-                        solved.program.layout,
-                        solved.program.junctions))
-                    .routing(passes::routeSelection(
-                        RoutingPolicy::OneBendPath, select, true,
-                        reference))
-                    .build()
-                    .run(b.circuit);
-            };
-            PipelineResult ri = replay(false);
-            PipelineResult rr = replay(true);
-            ASSERT_TRUE(ri.ok()) << ri.status.message;
-            ASSERT_TRUE(rr.ok()) << rr.status.message;
-            expectSchedulesIdentical(rr.program.schedule,
-                                     ri.program.schedule);
-            EXPECT_EQ(rr.program.swapCount, ri.program.swapCount);
-            EXPECT_EQ(rr.program.duration, ri.program.duration);
-            EXPECT_EQ(rr.program.predictedSuccess,
-                      ri.program.predictedSuccess);
-        } else {
-            PipelineResult ri =
-                standardPipeline(machine, indexed_opts).run(b.circuit);
-            PipelineResult rr =
-                standardPipeline(machine, reference_opts)
-                    .run(b.circuit);
-            ASSERT_TRUE(ri.ok()) << ri.status.message;
-            ASSERT_TRUE(rr.ok()) << rr.status.message;
-            EXPECT_EQ(rr.program.layout, ri.program.layout);
-            expectSchedulesIdentical(rr.program.schedule,
-                                     ri.program.schedule);
-            EXPECT_EQ(rr.program.swapCount, ri.program.swapCount);
-            EXPECT_EQ(rr.program.duration, ri.program.duration);
-            EXPECT_EQ(rr.program.predictedSuccess,
-                      ri.program.predictedSuccess);
+            indexed = Pipeline::forMachine(machine)
+                          .placement(std::make_unique<FixedPlacementPass>(
+                              solved.program.layout,
+                              solved.program.junctions))
+                          .routing(passes::routeSelection(
+                              RoutingPolicy::OneBendPath, select))
+                          .build();
         }
+        PipelineResult ri = indexed.run(b.circuit);
+        PipelineResult rr =
+            test::withReferenceScheduling(indexed).run(b.circuit);
+        ASSERT_TRUE(ri.ok()) << ri.status.message;
+        ASSERT_TRUE(rr.ok()) << rr.status.message;
+        EXPECT_EQ(rr.program.layout, ri.program.layout);
+        expectSchedulesIdentical(rr.program.schedule, ri.program.schedule);
+        EXPECT_EQ(rr.program.swapCount, ri.program.swapCount);
+        EXPECT_EQ(rr.program.duration, ri.program.duration);
+        EXPECT_EQ(rr.program.predictedSuccess,
+                  ri.program.predictedSuccess);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Kinds, BundleIdentity, ::testing::ValuesIn(kAllMapperKinds),
+    Kinds, BundleIdentity,
+    ::testing::Values(MapperKind::Qiskit, MapperKind::TSmt,
+                      MapperKind::TSmtStar, MapperKind::RSmtStar,
+                      MapperKind::GreedyV, MapperKind::GreedyE),
     [](const ::testing::TestParamInfo<MapperKind> &info) {
         std::string n = mapperKindName(info.param);
         for (char &c : n)

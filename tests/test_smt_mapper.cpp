@@ -1,8 +1,9 @@
 /**
  * @file
- * SMT mapper tests: the Z3 optimum must agree with the independent
- * branch-and-bound optimum on the reliability objective, duration
- * variants must prove optimality, and solutions must be valid.
+ * SMT bundle tests (T-SMT, T-SMT*, R-SMT*): the Z3 optimum must agree
+ * with the independent branch-and-bound optimum on the reliability
+ * objective, duration variants must prove optimality, and solutions
+ * must be valid.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +18,20 @@
 namespace qc {
 namespace {
 
+using test::compileWith;
 using test::day0;
 using test::expectScheduleWellFormed;
+
+/** R-SMT* with a 30 s budget (the configuration most tests use). */
+CompilerOptions
+rsmtOptions()
+{
+    CompilerOptions opts;
+    opts.mapper = MapperKind::RSmtStar;
+    opts.readoutWeight = 0.5;
+    opts.smtTimeoutMs = 30'000;
+    return opts;
+}
 
 class RsmtVsBnb : public ::testing::TestWithParam<std::string>
 {
@@ -32,13 +45,9 @@ TEST_P(RsmtVsBnb, PlacementObjectivesAgree)
     Machine m = day0();
     Benchmark b = benchmarkByName(GetParam());
 
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
-    opts.readoutWeight = 0.5;
-    opts.timeoutMs = 30'000;
+    CompilerOptions opts = rsmtOptions();
     opts.jointScheduling = false;
-    SmtMapper mapper(m, opts);
-    CompiledProgram smt = mapper.compile(b.circuit);
+    CompiledProgram smt = compileWith(m, opts, b.circuit);
     ASSERT_TRUE(smt.solverOptimal) << smt.solverStatus;
 
     BnbOptions bnb_opts;
@@ -61,12 +70,7 @@ TEST_P(RsmtVsBnb, JointObjectiveNeverBeatsPlacementRelaxation)
     Machine m = day0();
     Benchmark b = benchmarkByName(GetParam());
 
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
-    opts.readoutWeight = 0.5;
-    opts.timeoutMs = 30'000;
-    SmtMapper mapper(m, opts);
-    CompiledProgram smt = mapper.compile(b.circuit);
+    CompiledProgram smt = compileWith(m, rsmtOptions(), b.circuit);
     ASSERT_TRUE(smt.solverOptimal) << smt.solverStatus;
 
     BnbOptions bnb_opts;
@@ -84,48 +88,50 @@ INSTANTIATE_TEST_SUITE_P(Paper, RsmtVsBnb,
                          ::testing::Values("BV4", "BV6", "HS2", "HS4",
                                            "QFT", "Peres", "Toffoli"));
 
-TEST(SmtMapper, Names)
+TEST(SmtBundles, Names)
 {
-    Machine m = day0();
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::TSmt;
+    auto m = std::make_shared<const Machine>(day0());
+    CompilerOptions opts;
+    opts.mapper = MapperKind::TSmt;
     opts.policy = RoutingPolicy::RectangleReservation;
-    EXPECT_EQ(SmtMapper(m, opts).name(), "T-SMT RR");
-    opts.variant = SmtVariant::TSmtStar;
+    EXPECT_EQ(standardPipeline(m, opts).name(), "T-SMT RR");
+    opts.mapper = MapperKind::TSmtStar;
     opts.policy = RoutingPolicy::OneBendPath;
-    EXPECT_EQ(SmtMapper(m, opts).name(), "T-SMT* 1BP");
-    opts.variant = SmtVariant::RSmtStar;
-    opts.readoutWeight = 0.5;
-    EXPECT_EQ(SmtMapper(m, opts).name(), "R-SMT* w=0.5");
+    EXPECT_EQ(standardPipeline(m, opts).name(), "T-SMT* 1BP");
+    EXPECT_EQ(standardPipeline(m, rsmtOptions()).name(), "R-SMT* w=0.5");
 }
 
-TEST(SmtMapper, RSmtStarForcesOneBendPaths)
+TEST(SmtBundles, RSmtStarForcesOneBendPaths)
 {
-    Machine m = day0();
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
+    SmtMapperOptions smt;
+    smt.variant = SmtVariant::RSmtStar;
+    smt.policy = RoutingPolicy::RectangleReservation;
+    EXPECT_EQ(effectiveSmtOptions(smt).policy, RoutingPolicy::OneBendPath);
+
+    // The bundle routes with 1BP even when asked for RR.
+    CompilerOptions opts = rsmtOptions();
     opts.policy = RoutingPolicy::RectangleReservation;
-    SmtMapper mapper(m, opts);
-    EXPECT_EQ(mapper.options().policy, RoutingPolicy::OneBendPath);
+    Pipeline pipe =
+        standardPipeline(std::make_shared<const Machine>(day0()), opts);
+    EXPECT_EQ(pipe.stages()[1]->name(), "1BP");
 }
 
-TEST(SmtMapper, DurationVariantsProveOptimality)
+TEST(SmtBundles, DurationVariantsProveOptimality)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName("BV4");
-    for (SmtVariant v : {SmtVariant::TSmt, SmtVariant::TSmtStar}) {
-        SmtMapperOptions opts;
-        opts.variant = v;
-        opts.timeoutMs = 30'000;
-        SmtMapper mapper(m, opts);
-        CompiledProgram cp = mapper.compile(b.circuit);
+    for (MapperKind kind : {MapperKind::TSmt, MapperKind::TSmtStar}) {
+        CompilerOptions opts;
+        opts.mapper = kind;
+        opts.smtTimeoutMs = 30'000;
+        CompiledProgram cp = compileWith(m, opts, b.circuit);
         EXPECT_TRUE(cp.solverOptimal) << cp.solverStatus;
         expectScheduleWellFormed(m, cp.schedule);
         validateLayout(cp.layout, b.circuit.numQubits(), m.numQubits());
     }
 }
 
-TEST(SmtMapper, ZeroSwapBenchmarksGetZeroSwapsOnUniformMachine)
+TEST(SmtBundles, ZeroSwapBenchmarksGetZeroSwapsOnUniformMachine)
 {
     // Star/pair interaction graphs embed in the grid: with uniform
     // error rates the optimal reliability mapping strictly prefers
@@ -136,16 +142,12 @@ TEST(SmtMapper, ZeroSwapBenchmarksGetZeroSwapsOnUniformMachine)
     Machine m(topo, test::uniformCalibration(topo));
     for (const char *name : {"BV4", "BV8", "HS6", "QFT", "Adder"}) {
         Benchmark b = benchmarkByName(name);
-        SmtMapperOptions opts;
-        opts.variant = SmtVariant::RSmtStar;
-        opts.timeoutMs = 30'000;
-        SmtMapper mapper(m, opts);
-        CompiledProgram cp = mapper.compile(b.circuit);
+        CompiledProgram cp = compileWith(m, rsmtOptions(), b.circuit);
         EXPECT_EQ(cp.swapCount, 0) << name;
     }
 }
 
-TEST(SmtMapper, TriangleBenchmarksNeedSwaps)
+TEST(SmtBundles, TriangleBenchmarksNeedSwaps)
 {
     // Triangles cannot embed in a bipartite grid: at least one routed
     // CNOT (there-and-back SWAP pair) is unavoidable.
@@ -153,24 +155,16 @@ TEST(SmtMapper, TriangleBenchmarksNeedSwaps)
     Machine m(topo, test::uniformCalibration(topo));
     for (const char *name : {"Toffoli", "Peres"}) {
         Benchmark b = benchmarkByName(name);
-        SmtMapperOptions opts;
-        opts.variant = SmtVariant::RSmtStar;
-        opts.timeoutMs = 30'000;
-        SmtMapper mapper(m, opts);
-        CompiledProgram cp = mapper.compile(b.circuit);
+        CompiledProgram cp = compileWith(m, rsmtOptions(), b.circuit);
         EXPECT_GE(cp.swapCount, 2) << name;
     }
 }
 
-TEST(SmtMapper, JunctionsRecordedForCnots)
+TEST(SmtBundles, JunctionsRecordedForCnots)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName("Toffoli");
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
-    opts.timeoutMs = 30'000;
-    SmtMapper mapper(m, opts);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = compileWith(m, rsmtOptions(), b.circuit);
     ASSERT_EQ(cp.junctions.size(), b.circuit.size());
     for (size_t i = 0; i < b.circuit.size(); ++i) {
         if (b.circuit.gate(i).op == Op::CNOT)
@@ -180,7 +174,7 @@ TEST(SmtMapper, JunctionsRecordedForCnots)
     }
 }
 
-TEST(SmtMapper, OmegaOnePlacesMeasuredQubitsOnBestReadouts)
+TEST(SmtBundles, OmegaOnePlacesMeasuredQubitsOnBestReadouts)
 {
     // With w = 1 only readout terms score. Placement-only mode is
     // used because the joint formulation's coherence constraint can
@@ -188,13 +182,10 @@ TEST(SmtMapper, OmegaOnePlacesMeasuredQubitsOnBestReadouts)
     // routed CNOTs run long) — exactly the Fig. 8c pathology.
     Machine m = day0();
     Benchmark b = benchmarkByName("HS2");
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
+    CompilerOptions opts = rsmtOptions();
     opts.readoutWeight = 1.0;
-    opts.timeoutMs = 30'000;
     opts.jointScheduling = false;
-    SmtMapper mapper(m, opts);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = compileWith(m, opts, b.circuit);
     ASSERT_TRUE(cp.solverOptimal);
     auto order = m.qubitsByReadoutReliability();
     double best = std::log(m.cal().readoutReliability(order[0])) +
@@ -204,45 +195,38 @@ TEST(SmtMapper, OmegaOnePlacesMeasuredQubitsOnBestReadouts)
     EXPECT_NEAR(got, best, 1e-9);
 }
 
-TEST(SmtMapper, TinyTimeoutStillProducesRunnableCode)
+TEST(SmtBundles, TinyTimeoutStillProducesRunnableCode)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName("Fredkin");
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
-    opts.timeoutMs = 1; // effectively no solver time
-    SmtMapper mapper(m, opts);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompilerOptions opts = rsmtOptions();
+    opts.smtTimeoutMs = 1; // effectively no solver time
+    CompiledProgram cp = compileWith(m, opts, b.circuit);
     validateLayout(cp.layout, b.circuit.numQubits(), m.numQubits());
     expectScheduleWellFormed(m, cp.schedule);
 }
 
-TEST(SmtMapper, RejectsOversizedProgram)
+TEST(SmtBundles, RejectsOversizedProgram)
 {
     GridTopology topo(2, 2);
     CalibrationModel model(topo, 3);
     Machine m(topo, model.forDay(0));
     Benchmark b = benchmarkByName("BV6");
-    SmtMapperOptions opts;
-    SmtMapper mapper(m, opts);
-    EXPECT_THROW(mapper.compile(b.circuit), FatalError);
+    EXPECT_THROW(compileWith(m, rsmtOptions(), b.circuit), FatalError);
 }
 
-TEST(SmtMapper, NonJointSchedulingMatchesJointObjective)
+TEST(SmtBundles, NonJointSchedulingMatchesJointObjective)
 {
     // Placement-only mode must reach the same Eq. 12 optimum; only
     // start times are realized differently.
     Machine m = day0();
     Benchmark b = benchmarkByName("HS4");
 
-    SmtMapperOptions joint;
-    joint.variant = SmtVariant::RSmtStar;
-    joint.timeoutMs = 30'000;
-    CompiledProgram a = SmtMapper(m, joint).compile(b.circuit);
+    CompiledProgram a = compileWith(m, rsmtOptions(), b.circuit);
 
-    SmtMapperOptions flat = joint;
+    CompilerOptions flat = rsmtOptions();
     flat.jointScheduling = false;
-    CompiledProgram c = SmtMapper(m, flat).compile(b.circuit);
+    CompiledProgram c = compileWith(m, flat, b.circuit);
 
     double obj_a =
         evaluateReliability(b.circuit, a.layout, m).weighted(0.5);

@@ -11,6 +11,7 @@
 
 #include "machine/calibration_io.hpp"
 #include "machine/calibration_model.hpp"
+#include "reference_scheduler.hpp"
 #include "test_util.hpp"
 
 namespace qc {
@@ -140,16 +141,14 @@ TEST(NonGridScheduling, IndexedMatchesReferenceOnHeavyHex)
     for (MapperKind kind :
          {MapperKind::GreedyE, MapperKind::GreedyV, MapperKind::Qiskit}) {
         SCOPED_TRACE(mapperKindName(kind));
-        CompilerOptions indexed;
-        indexed.mapper = kind;
-        CompilerOptions reference = indexed;
-        reference.referenceScheduler = true;
+        CompilerOptions opts;
+        opts.mapper = kind;
+        Pipeline indexed = standardPipeline(machine, opts);
+        Pipeline reference = test::withReferenceScheduling(indexed);
         for (const char *bench : {"BV6", "Toffoli", "Adder"}) {
             Benchmark b = benchmarkByName(bench);
-            PipelineResult ri =
-                standardPipeline(machine, indexed).run(b.circuit);
-            PipelineResult rr =
-                standardPipeline(machine, reference).run(b.circuit);
+            PipelineResult ri = indexed.run(b.circuit);
+            PipelineResult rr = reference.run(b.circuit);
             ASSERT_TRUE(ri.ok()) << ri.status.message;
             ASSERT_TRUE(rr.ok()) << rr.status.message;
             EXPECT_TRUE(rr.program.schedule.identicalTo(

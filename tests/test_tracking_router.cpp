@@ -2,7 +2,7 @@
  * @file
  * Live-tracking router tests: semantic preservation without restore
  * SWAPs, layout evolution, SWAP savings vs the restore scheme, and
- * the GreedyE*+track mapper.
+ * the GreedyE*+track bundle.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 namespace qc {
 namespace {
 
+using test::compileWith;
 using test::day0;
 using test::expectScheduleWellFormed;
 using test::noiselessOptions;
@@ -148,12 +149,12 @@ TEST(TrackingRouter, RejectsProgramSwapAndBadLayout)
     EXPECT_THROW(router.run(ok, {0, 0}), FatalError);
 }
 
-TEST(GreedyETrackMapper, CompilesAndPredicts)
+TEST(GreedyETrackBundle, CompilesAndPredicts)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName("Fredkin");
-    GreedyETrackMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp =
+        compileWith(m, MapperKind::GreedyETrack, b.circuit);
     EXPECT_EQ(cp.mapperName, "GreedyE*+track");
     EXPECT_GT(cp.predictedSuccess, 0.0);
     EXPECT_LE(cp.predictedSuccess, 1.0);
@@ -164,15 +165,15 @@ TEST(GreedyETrackMapper, CompilesAndPredicts)
     EXPECT_DOUBLE_EQ(ideal.successRate, 1.0);
 }
 
-TEST(GreedyETrackMapper, AvailableThroughTheFacade)
+TEST(GreedyETrackBundle, AvailableThroughTheFacade)
 {
     EXPECT_EQ(mapperKindFromName("GreedyE*+track"),
               MapperKind::GreedyETrack);
-    Machine m = day0();
     CompilerOptions opts;
     opts.mapper = MapperKind::GreedyETrack;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    EXPECT_EQ(mapper->name(), "GreedyE*+track");
+    NoiseAdaptiveCompiler compiler(std::make_shared<const Machine>(day0()),
+                                   opts);
+    EXPECT_EQ(compiler.pipeline().name(), "GreedyE*+track");
 }
 
 } // namespace

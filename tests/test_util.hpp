@@ -35,6 +35,29 @@ day0()
 }
 
 /**
+ * Compile `prog` with the standard bundle for `options` on a copy of
+ * `machine`. Throws FatalError when no program comes out, like
+ * Pipeline::compile.
+ */
+inline CompiledProgram
+compileWith(const Machine &machine, const CompilerOptions &options,
+            const Circuit &prog)
+{
+    return standardPipeline(std::make_shared<const Machine>(machine),
+                            options)
+        .compile(prog);
+}
+
+/** compileWith for a bundle's default options. */
+inline CompiledProgram
+compileWith(const Machine &machine, MapperKind kind, const Circuit &prog)
+{
+    CompilerOptions options;
+    options.mapper = kind;
+    return compileWith(machine, options, prog);
+}
+
+/**
  * Assert the structural invariants every legal schedule must satisfy:
  *  - ops on a shared qubit never overlap in time,
  *  - op windows are non-negative and within the makespan,
