@@ -247,11 +247,8 @@ class ListSchedulingPass : public SchedulingPass
         ctx.schedule = scheduler.run(prog, ctx.layout, ctx.cancel);
         ctx.duration = ctx.schedule.makespan;
         ctx.swapCount = ctx.schedule.swapCount();
-
-        std::ostringstream oss;
-        oss << "makespan " << ctx.duration << ", " << ctx.swapCount
-            << " swaps";
-        ctx.addNote(oss.str());
+        ctx.addNote("makespan " + std::to_string(ctx.duration) + ", " +
+                    std::to_string(ctx.swapCount) + " swaps");
         return CompileStatus::success();
     }
 };
@@ -279,11 +276,8 @@ class TrackingSchedulingPass : public SchedulingPass
         ctx.predictedSuccess = routed.predictedSuccess;
         ctx.logReliability = std::log(routed.predictedSuccess);
         ctx.hasPrediction = true;
-
-        std::ostringstream oss;
-        oss << "makespan " << ctx.duration << ", " << ctx.swapCount
-            << " one-way swaps";
-        ctx.addNote(oss.str());
+        ctx.addNote("makespan " + std::to_string(ctx.duration) + ", " +
+                    std::to_string(ctx.swapCount) + " one-way swaps");
         return CompileStatus::success();
     }
 
@@ -313,13 +307,14 @@ class ReliabilityPredictionPass : public PredictionPass
         const Machine &machine = ctx.mach();
         const Circuit &prog = ctx.circuit();
         ListScheduler scheduler(machine, ctx.schedOptions);
+        RoutePath scratch;
         double log_rel = 0.0;
         for (size_t i = 0; i < prog.size(); ++i) {
             const Gate &g = prog.gate(i);
             if (g.op == Op::CNOT) {
-                RoutePath r = scheduler.chooseRoute(
+                const RoutePath &r = scheduler.chooseRoute(
                     ctx.layout[g.q0], ctx.layout[g.q1],
-                    static_cast<int>(i));
+                    static_cast<int>(i), scratch);
                 log_rel += std::log(r.reliability);
             } else if (g.isMeasure()) {
                 log_rel += std::log(

@@ -7,27 +7,28 @@
 namespace qc {
 
 DependencyDag::DependencyDag(const Circuit &circuit)
+    : nodes_(circuit.size())
 {
-    const size_t n = circuit.size();
-    preds_.assign(n, {});
-    succs_.assign(n, {});
-
     std::vector<int> last_on_qubit(circuit.numQubits(), -1);
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < nodes_.size(); ++i) {
         const Gate &g = circuit.gate(i);
-        std::vector<int> operands{g.q0};
-        if (g.isTwoQubit())
-            operands.push_back(g.q1);
-        for (int q : operands) {
-            int prev = last_on_qubit[q];
-            if (prev >= 0) {
-                auto &ps = preds_[i];
-                if (std::find(ps.begin(), ps.end(), prev) == ps.end()) {
-                    ps.push_back(prev);
-                    succs_[prev].push_back(static_cast<int>(i));
-                }
+        const int gi = static_cast<int>(i);
+        Node &node = nodes_[i];
+        const int operands[2] = {g.q0, g.q1};
+        const int arity = g.isTwoQubit() ? 2 : 1;
+        for (int k = 0; k < arity; ++k) {
+            int &last = last_on_qubit[operands[k]];
+            // A repeated pair (e.g. cx a,b; cx a,b) names the same
+            // predecessor through both operands: keep one edge. Each
+            // edge is the next use of one of prev's qubits, so prev
+            // gains at most two successors.
+            const bool dup = node.numPreds == 1 && node.preds[0] == last;
+            if (last >= 0 && !dup) {
+                node.preds[node.numPreds++] = last;
+                Node &prev = nodes_[static_cast<size_t>(last)];
+                prev.succs[prev.numSuccs++] = gi;
             }
-            last_on_qubit[q] = static_cast<int>(i);
+            last = gi;
         }
     }
 }
@@ -36,8 +37,8 @@ std::vector<int>
 DependencyDag::roots() const
 {
     std::vector<int> r;
-    for (size_t i = 0; i < preds_.size(); ++i)
-        if (preds_[i].empty())
+    for (size_t i = 0; i < nodes_.size(); ++i)
+        if (nodes_[i].numPreds == 0)
             r.push_back(static_cast<int>(i));
     return r;
 }
@@ -46,8 +47,8 @@ std::vector<int>
 DependencyDag::sinks() const
 {
     std::vector<int> r;
-    for (size_t i = 0; i < succs_.size(); ++i)
-        if (succs_[i].empty())
+    for (size_t i = 0; i < nodes_.size(); ++i)
+        if (nodes_[i].numSuccs == 0)
             r.push_back(static_cast<int>(i));
     return r;
 }
@@ -59,7 +60,7 @@ DependencyDag::dependsOn(int b, int a) const
         return false;
     // DFS backwards from b; indices only decrease along pred edges.
     std::vector<int> stack{b};
-    std::vector<bool> seen(preds_.size(), false);
+    std::vector<bool> seen(nodes_.size(), false);
     while (!stack.empty()) {
         int cur = stack.back();
         stack.pop_back();
@@ -68,7 +69,7 @@ DependencyDag::dependsOn(int b, int a) const
         if (cur < a || seen[cur])
             continue;
         seen[cur] = true;
-        for (int p : preds_[cur])
+        for (int p : preds(cur))
             stack.push_back(p);
     }
     return false;
@@ -77,13 +78,13 @@ DependencyDag::dependsOn(int b, int a) const
 Timeslot
 DependencyDag::criticalPath(const std::vector<Timeslot> &durations) const
 {
-    QC_ASSERT(durations.size() == preds_.size(),
+    QC_ASSERT(durations.size() == nodes_.size(),
               "duration vector arity mismatch");
-    std::vector<Timeslot> finish(preds_.size(), 0);
+    std::vector<Timeslot> finish(nodes_.size(), 0);
     Timeslot best = 0;
-    for (size_t i = 0; i < preds_.size(); ++i) {
+    for (size_t i = 0; i < nodes_.size(); ++i) {
         Timeslot start = 0;
-        for (int p : preds_[i])
+        for (int p : preds(static_cast<int>(i)))
             start = std::max(start, finish[p]);
         finish[i] = start + durations[i];
         best = std::max(best, finish[i]);
@@ -94,9 +95,9 @@ DependencyDag::criticalPath(const std::vector<Timeslot> &durations) const
 std::vector<int>
 DependencyDag::depths() const
 {
-    std::vector<int> depth(preds_.size(), 1);
-    for (size_t i = 0; i < preds_.size(); ++i)
-        for (int p : preds_[i])
+    std::vector<int> depth(nodes_.size(), 1);
+    for (size_t i = 0; i < nodes_.size(); ++i)
+        for (int p : preds(static_cast<int>(i)))
             depth[i] = std::max(depth[i], depth[p] + 1);
     return depth;
 }

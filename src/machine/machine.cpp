@@ -275,15 +275,19 @@ Machine::mostReliablePathReliability(HwQubit a, HwQubit b) const
 std::vector<HwQubit>
 Machine::mostReliablePath(HwQubit a, HwQubit b) const
 {
-    std::vector<HwQubit> rev{b};
-    HwQubit cur = b;
-    while (cur != a) {
-        cur = djPrev_[a][cur];
+    // Size the path from the predecessor chain, then fill it back to
+    // front: one allocation per path.
+    const auto &prev = djPrev_[a];
+    size_t len = 1;
+    for (HwQubit cur = b; cur != a; ++len) {
+        cur = prev[cur];
         QC_ASSERT(cur != kInvalidQubit, "broken Dijkstra predecessor");
-        rev.push_back(cur);
     }
-    std::reverse(rev.begin(), rev.end());
-    return rev;
+    std::vector<HwQubit> path(len);
+    path[len - 1] = b;
+    for (size_t i = len - 1; i > 0; --i)
+        path[i - 1] = prev[path[i]];
+    return path;
 }
 
 RoutePath

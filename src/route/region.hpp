@@ -9,11 +9,11 @@
  * formulation generalizes the rectangle test to arbitrary coupling
  * graphs without changing it on grids).
  *
- * On grid topologies regions are still built from the paper's
- * rectangles — Rectangle Reservation (RR) blocks the full bounding
- * box of a CNOT's endpoints, One-Bend Paths (1BP) block only the two
- * leg segments through the chosen junction — via regionFromRects,
- * which produces the identical qubit footprint.
+ * On grid topologies the footprints are the paper's rectangles —
+ * Rectangle Reservation (RR) blocks the full bounding box of a CNOT's
+ * endpoints, One-Bend Paths (1BP) block only the two leg segments
+ * through the chosen junction, which are exactly the route's nodes.
+ * regionFromRects gives the same footprint from the rectangles.
  */
 
 #ifndef QC_ROUTE_REGION_HPP

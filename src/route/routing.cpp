@@ -32,78 +32,52 @@ routeRegion(const Topology &topo, const RoutePath &route,
 {
     QC_ASSERT(route.nodes.size() >= 2, "route too short for a region");
 
-    // Non-grid topologies have no bounding boxes: both policies
-    // reserve the route's node set, the tightest conservative cover.
-    if (!topo.isGrid())
+    // Only RR on a grid reserves more than the route's node set: a
+    // one-bend route's two leg rectangles are lines that cover exactly
+    // its nodes, and Dijkstra or non-grid paths have no rectangles.
+    if (!topo.isGrid() || policy == RoutingPolicy::OneBendPath)
         return Region::fromQubits(route.nodes);
 
-    GridPos pc = topo.posOf(route.nodes.front());
-    GridPos pt = topo.posOf(route.nodes.back());
-
-    if (policy == RoutingPolicy::RectangleReservation)
-        return regionFromRects(topo, {Rect::spanning(pc, pt)});
-
-    if (route.junction != kInvalidQubit) {
-        // One-bend route: a rectangle (degenerate line) per leg.
-        GridPos pj = topo.posOf(route.junction);
-        return regionFromRects(
-            topo, {Rect::spanning(pc, pj), Rect::spanning(pj, pt)});
-    }
-
-    // Arbitrary (Dijkstra) path: cover each node cell.
-    return Region::fromQubits(route.nodes);
+    return Region::fromQubits(rectQubits(
+        topo, Rect::spanning(topo.posOf(route.nodes.front()),
+                             topo.posOf(route.nodes.back()))));
 }
 
-std::vector<MicroOp>
+void
 expandRoute(const Machine &machine, const RoutePath &route,
+            Timeslot start, int prog_gate, std::vector<TimedOp> &out,
             Timeslot uniform_cnot)
 {
     const auto &cal = machine.cal();
-    auto cnot_dur = [&](EdgeId e) {
-        return uniform_cnot >= 0 ? uniform_cnot : cal.cnotDuration[e];
-    };
-
-    std::vector<MicroOp> ops;
-    Timeslot t = 0;
     const auto &nodes = route.nodes;
     const auto &edges = route.edges;
     const size_t d = edges.size();
+    Timeslot t = start;
+    auto emit = [&](Op op, HwQubit a, HwQubit b, EdgeId e) {
+        const Timeslot cnot =
+            uniform_cnot >= 0 ? uniform_cnot : cal.cnotDuration[e];
+        TimedOp top;
+        top.gate = {op, a, b, -1};
+        top.start = t;
+        top.duration = op == Op::Swap ? 3 * cnot : cnot;
+        top.progGate = prog_gate;
+        top.isRouteSwap = op == Op::Swap;
+        t += top.duration;
+        out.push_back(top);
+    };
 
     // Forward SWAP chain: move the control along the path until it is
     // adjacent to the target.
-    for (size_t i = 0; i + 1 < d; ++i) {
-        MicroOp op;
-        op.gate = {Op::Swap, nodes[i], nodes[i + 1], -1};
-        op.offset = t;
-        op.duration = 3 * cnot_dur(edges[i]);
-        op.isRouteSwap = true;
-        t += op.duration;
-        ops.push_back(op);
-    }
+    for (size_t i = 0; i + 1 < d; ++i)
+        emit(Op::Swap, nodes[i], nodes[i + 1], edges[i]);
 
     // The CNOT itself: the (moved) control now sits at nodes[d-1].
-    {
-        MicroOp op;
-        op.gate = {Op::CNOT, nodes[d - 1], nodes[d], -1};
-        op.offset = t;
-        op.duration = cnot_dur(edges[d - 1]);
-        t += op.duration;
-        ops.push_back(op);
-    }
+    emit(Op::CNOT, nodes[d - 1], nodes[d], edges[d - 1]);
 
     // Restore SWAPs so the static placement stays valid afterwards
     // (matches the 2*(d-1)*tau_swap duration model, Sec. 4.2).
-    for (size_t i = d - 1; i-- > 0;) {
-        MicroOp op;
-        op.gate = {Op::Swap, nodes[i + 1], nodes[i], -1};
-        op.offset = t;
-        op.duration = 3 * cnot_dur(edges[i]);
-        op.isRouteSwap = true;
-        t += op.duration;
-        ops.push_back(op);
-    }
-
-    return ops;
+    for (size_t i = d - 1; i-- > 0;)
+        emit(Op::Swap, nodes[i + 1], nodes[i], edges[i]);
 }
 
 } // namespace qc

@@ -3,7 +3,7 @@
  * Routing policies and SWAP-chain expansion.
  *
  * Converts a chosen RoutePath into (a) the spatial Region it reserves
- * under a given policy and (b) the hardware micro-operations (forward
+ * under a given policy and (b) the timed hardware operations (forward
  * SWAPs, the CNOT, restore SWAPs) that realize it.
  */
 
@@ -39,43 +39,42 @@ const char *routeSelectName(RouteSelect s);
 /**
  * Region reserved by a route under a policy.
  *
- * On grids, RR uses the endpoints' bounding rectangle regardless of
- * the actual path and 1BP uses one rectangle per path leg (for
- * Dijkstra paths, one cell-rectangle per node, the tightest
- * conservative cover) — footprints identical to the paper's rect
- * formulation. On non-grid topologies a bounding box does not exist,
- * so both policies reserve the route's node set (the tightest
- * conservative cover of the SWAP chain).
+ * On grids, RR reserves the endpoints' bounding rectangle regardless
+ * of the actual path. 1BP reserves the route's node set: for a
+ * one-bend route that is exactly the cells of its two leg rectangles
+ * (the paper's rect formulation), for a Dijkstra path one cell per
+ * node, the tightest conservative cover. On non-grid topologies a
+ * bounding box does not exist, so both policies reserve the node set.
  */
 Region routeRegion(const Topology &topo, const RoutePath &route,
                    RoutingPolicy policy);
 
-/**
- * One micro-operation of a routed CNOT.
- *
- * offset/duration position the op inside the macro-operation's time
- * window; `gate` acts on hardware qubits.
- */
-struct MicroOp
+/** One timed hardware operation (a Schedule entry). */
+struct TimedOp
 {
-    Gate gate;
-    Timeslot offset = 0;
+    Gate gate;              ///< operands are hardware qubits
+    Timeslot start = 0;
     Timeslot duration = 0;
+    int progGate = -1;      ///< originating program gate index
     bool isRouteSwap = false;
+
+    Timeslot finish() const { return start + duration; }
 };
 
 /**
- * Expand a route into micro-ops: SWAP along nodes[0..d-1], CNOT on the
- * final edge, then SWAPs undone in reverse. Total duration equals the
+ * Expand a route into timed ops appended to `out`: SWAPs along
+ * nodes[0..d-1], the CNOT on the final edge, then the SWAPs undone in
+ * reverse, back to back from `start`. Total duration equals the
  * route's Delta entry.
  *
+ * @param prog_gate    program gate index recorded on every op
  * @param uniform_cnot if >= 0, use this duration for every CNOT slot
  *                     (noise-unaware T-SMT model) instead of the
  *                     calibrated per-edge durations.
  */
-std::vector<MicroOp> expandRoute(const Machine &machine,
-                                 const RoutePath &route,
-                                 Timeslot uniform_cnot = -1);
+void expandRoute(const Machine &machine, const RoutePath &route,
+                 Timeslot start, int prog_gate, std::vector<TimedOp> &out,
+                 Timeslot uniform_cnot = -1);
 
 } // namespace qc
 

@@ -10,6 +10,20 @@
 
 namespace qc {
 
+namespace {
+
+/** Read-only view of a contiguous run of hardware qubits. */
+struct QubitView
+{
+    const HwQubit *first = nullptr;
+    const HwQubit *last = nullptr;
+
+    const HwQubit *begin() const { return first; }
+    const HwQubit *end() const { return last; }
+};
+
+} // namespace
+
 void
 validateLayout(const std::vector<HwQubit> &layout, int n_prog, int n_hw)
 {
@@ -33,8 +47,9 @@ ListScheduler::ListScheduler(const Machine &machine,
 {
 }
 
-RoutePath
-ListScheduler::chooseRoute(HwQubit c, HwQubit t, int gate_idx) const
+const RoutePath &
+ListScheduler::chooseRoute(HwQubit c, HwQubit t, int gate_idx,
+                           RoutePath &scratch) const
 {
     switch (options_.select) {
       case RouteSelect::BestReliability:
@@ -42,7 +57,8 @@ ListScheduler::chooseRoute(HwQubit c, HwQubit t, int gate_idx) const
       case RouteSelect::BestDuration:
         return machine_.bestDurationPath(c, t);
       case RouteSelect::Dijkstra:
-        return machine_.dijkstraRoute(c, t);
+        scratch = machine_.dijkstraRoute(c, t);
+        return scratch;
       case RouteSelect::Fixed: {
         QC_ASSERT(gate_idx >= 0 &&
                       gate_idx <
@@ -73,52 +89,69 @@ ListScheduler::run(const Circuit &prog,
     DependencyDag dag(prog);
     const size_t n_gates = prog.size();
 
-    // Per-gate routing decisions, computed once.
-    struct GatePlan
+    // Per-gate routing decisions (computed once) and scheduling state,
+    // in one array. A CNOT's route is borrowed from the machine, or
+    // under Dijkstra selection built into its `scratch` slot; the
+    // slots are reserved up front, so borrowed pointers stay valid.
+    struct GateState
     {
-        std::vector<HwQubit> touched; ///< hw qubits whose time advances
+        const RoutePath *route = nullptr; ///< CNOTs only
+        Region region;                    ///< CNOTs only
+        QubitView touched; ///< hw qubits whose time advances
         Timeslot duration = 0;
-        RoutePath route;              ///< CNOTs only
-        Region region;                ///< CNOTs only
-        bool routed = false;
+        Timeslot finish = 0;
+        Timeslot cached = 0; ///< feasible start while ready
+        int predsLeft = 0;
+        int readyPos = -1;
+        bool dirty = false;
+        bool done = false;
+
+        bool routed() const { return route != nullptr; }
     };
-    std::vector<GatePlan> plans(n_gates);
+    std::vector<GateState> gates(n_gates);
+    std::vector<RoutePath> scratch;
+    scratch.reserve(static_cast<size_t>(prog.cnotCount()));
+    size_t n_ops = 0;
+    size_t n_routed = 0;
+    size_t n_cells = 0; ///< region qubits over all routed gates
     for (size_t i = 0; i < n_gates; ++i) {
         const Gate &g = prog.gate(i);
-        GatePlan &plan = plans[i];
+        GateState &gs = gates[i];
+        gs.predsLeft =
+            static_cast<int>(dag.preds(static_cast<int>(i)).size());
         if (g.op == Op::CNOT) {
             HwQubit c = layout[g.q0];
             HwQubit t = layout[g.q1];
-            plan.route = chooseRoute(c, t, static_cast<int>(i));
+            const RoutePath &route = chooseRoute(
+                c, t, static_cast<int>(i), scratch.emplace_back());
+            gs.route = &route;
             if (uniform_cnot >= 0) {
-                plan.duration = machine_.uniformRouteDuration(
-                    static_cast<int>(plan.route.edges.size()));
+                gs.duration = machine_.uniformRouteDuration(
+                    static_cast<int>(route.edges.size()));
             } else {
-                plan.duration = plan.route.duration;
+                gs.duration = route.duration;
             }
-            plan.region = routeRegion(topo, plan.route, options_.policy);
-            plan.touched = plan.route.nodes;
-            plan.routed = true;
-        } else if (g.isMeasure()) {
-            plan.duration = cal.readoutDuration;
-            plan.touched = {layout[g.q0]};
-        } else if (g.op == Op::Swap) {
-            QC_FATAL("program-level circuits must not contain Swap");
-        } else {
-            plan.duration = cal.oneQubitDuration;
-            plan.touched = {layout[g.q0]};
+            gs.region = routeRegion(topo, route, options_.policy);
+            gs.touched = {route.nodes.data(),
+                          route.nodes.data() + route.nodes.size()};
+            n_ops += 2 * route.edges.size() - 1;
+            ++n_routed;
+            n_cells += gs.region.qubits.size();
+            continue;
         }
+        if (g.op == Op::Swap)
+            QC_FATAL("program-level circuits must not contain Swap");
+        gs.duration = g.isMeasure() ? cal.readoutDuration
+                                    : cal.oneQubitDuration;
+        gs.touched = {&layout[g.q0], &layout[g.q0] + 1};
+        ++n_ops;
     }
 
     std::vector<Timeslot> qubit_avail(topo.numQubits(), 0);
-    std::vector<Timeslot> gate_finish(n_gates, 0);
-    std::vector<int> preds_left(n_gates, 0);
-    for (size_t i = 0; i < n_gates; ++i)
-        preds_left[i] = static_cast<int>(dag.preds(static_cast<int>(i))
-                                             .size());
 
     Schedule sched;
     sched.numHwQubits = topo.numQubits();
+    sched.ops.reserve(n_ops);
     sched.macros.resize(n_gates);
     sched.qubitFinish.assign(topo.numQubits(), 0);
 
@@ -127,8 +160,8 @@ ListScheduler::run(const Circuit &prog,
     auto lower_bound = [&](int gi) {
         Timeslot start = 0;
         for (int p : dag.preds(gi))
-            start = std::max(start, gate_finish[p]);
-        for (HwQubit h : plans[gi].touched)
+            start = std::max(start, gates[p].finish);
+        for (HwQubit h : gates[gi].touched)
             start = std::max(start, qubit_avail[h]);
         return start;
     };
@@ -136,35 +169,27 @@ ListScheduler::run(const Circuit &prog,
     // Commit one gate at its feasible start: record macro timing,
     // emit the timed hardware ops, advance the touched qubits.
     auto commit = [&](int gi, Timeslot start) {
-        const Gate &g = prog.gate(gi);
-        const GatePlan &plan = plans[gi];
-        Timeslot finish = start + plan.duration;
+        GateState &gs = gates[gi];
+        const Timeslot finish = start + gs.duration;
 
-        sched.macros[gi] = {gi, start, plan.duration};
-        gate_finish[gi] = finish;
+        sched.macros[gi] = {gi, start, gs.duration};
+        gs.finish = finish;
 
-        if (plan.routed) {
-            for (const MicroOp &mop :
-                 expandRoute(machine_, plan.route, uniform_cnot)) {
-                TimedOp top;
-                top.gate = mop.gate;
-                top.start = start + mop.offset;
-                top.duration = mop.duration;
-                top.progGate = gi;
-                top.isRouteSwap = mop.isRouteSwap;
-                sched.ops.push_back(top);
-            }
+        if (gs.routed()) {
+            expandRoute(machine_, *gs.route, start, gi, sched.ops,
+                        uniform_cnot);
         } else {
+            const Gate &g = prog.gate(gi);
             TimedOp top;
             top.gate = g;
             top.gate.q0 = layout[g.q0];
             top.start = start;
-            top.duration = plan.duration;
+            top.duration = gs.duration;
             top.progGate = gi;
             sched.ops.push_back(top);
         }
 
-        for (HwQubit h : plan.touched)
+        for (HwQubit h : gs.touched)
             qubit_avail[h] = finish;
         sched.makespan = std::max(sched.makespan, finish);
         return finish;
@@ -195,35 +220,36 @@ ListScheduler::run(const Circuit &prog,
     // and retire reservations behind it without changing any
     // result.
     ReservationLedger ledger(topo.numQubits());
+    ledger.reserveCapacity(n_routed, n_cells);
 
-    std::vector<Timeslot> cached(n_gates, 0);
-    std::vector<char> dirty(n_gates, 0);
-    std::vector<char> done(n_gates, 0);
     std::vector<int> ready_list;
-    std::vector<int> ready_pos(n_gates, -1);
+    ready_list.reserve(n_gates);
     std::vector<int> qubit_mark(topo.numQubits(), -1);
     int commit_serial = -1;
 
     using HeapEntry = std::pair<Timeslot, int>;
+    std::vector<HeapEntry> heap_storage;
+    heap_storage.reserve(n_gates);
     std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                         std::greater<HeapEntry>>
-        heap;
+        heap(std::greater<HeapEntry>(), std::move(heap_storage));
 
     auto recompute = [&](int gi) {
-        const GatePlan &plan = plans[gi];
+        GateState &gs = gates[gi];
         Timeslot s = lower_bound(gi);
-        if (plan.routed)
-            s = ledger.feasibleStart(plan.region, plan.duration, s);
-        cached[gi] = s;
+        if (gs.routed())
+            s = ledger.feasibleStart(gs.region, gs.duration, s);
+        gs.cached = s;
     };
     auto make_ready = [&](int gi) {
-        ready_pos[gi] = static_cast<int>(ready_list.size());
+        gates[gi].readyPos = static_cast<int>(ready_list.size());
         ready_list.push_back(gi);
         recompute(gi);
-        heap.push({cached[gi], gi});
+        heap.push({gates[gi].cached, gi});
     };
-    for (int r : dag.roots())
-        make_ready(r);
+    for (size_t i = 0; i < n_gates; ++i)
+        if (gates[i].predsLeft == 0)
+            make_ready(static_cast<int>(i));
 
     size_t scheduled = 0;
     while (scheduled < n_gates) {
@@ -232,52 +258,53 @@ ListScheduler::run(const Circuit &prog,
                   "scheduler deadlock: no ready gates");
         auto [key, gi] = heap.top();
         heap.pop();
-        if (done[gi] || key != cached[gi])
+        GateState &gs = gates[gi];
+        if (gs.done || key != gs.cached)
             continue; // superseded duplicate
-        if (dirty[gi]) {
-            dirty[gi] = 0;
+        if (gs.dirty) {
+            gs.dirty = false;
             recompute(gi);
-            heap.push({cached[gi], gi});
+            heap.push({gs.cached, gi});
             continue;
         }
 
-        done[gi] = 1;
-        const int pos = ready_pos[gi];
+        gs.done = true;
+        const int pos = gs.readyPos;
         const int back = ready_list.back();
         ready_list[pos] = back;
-        ready_pos[back] = pos;
+        gates[back].readyPos = pos;
         ready_list.pop_back();
-        ready_pos[gi] = -1;
+        gs.readyPos = -1;
 
-        const GatePlan &plan = plans[gi];
         Timeslot finish = commit(gi, key);
         ledger.advanceFrontier(key);
-        if (plan.routed)
-            ledger.reserve(plan.region, key, finish);
+        if (gs.routed())
+            ledger.reserve(gs.region, key, finish);
 
         // Dirty exactly the ready gates this commit can move.
         ++commit_serial;
-        for (HwQubit h : plan.touched)
+        for (HwQubit h : gs.touched)
             qubit_mark[h] = commit_serial;
         for (int g : ready_list) {
-            if (dirty[g])
+            GateState &other = gates[g];
+            if (other.dirty)
                 continue;
             bool hit = false;
-            for (HwQubit h : plans[g].touched) {
+            for (HwQubit h : other.touched) {
                 if (qubit_mark[h] == commit_serial) {
                     hit = true;
                     break;
                 }
             }
-            if (!hit && plan.routed && plans[g].routed &&
-                plans[g].region.overlaps(plan.region))
+            if (!hit && gs.routed() && other.routed() &&
+                other.region.overlaps(gs.region))
                 hit = true;
             if (hit)
-                dirty[g] = 1;
+                other.dirty = true;
         }
 
         for (int s : dag.succs(gi)) {
-            if (--preds_left[s] == 0)
+            if (--gates[s].predsLeft == 0)
                 make_ready(s);
         }
         ++scheduled;

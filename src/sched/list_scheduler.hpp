@@ -12,6 +12,11 @@
  * incremental ready-queue that only recomputes gates a commit could
  * move. It is bit-identical to the plain full scan kept as the test
  * oracle in tests/reference_scheduler.hpp.
+ *
+ * Per-run state is flat and sized up front (the DAG, one gate table,
+ * the ledger, the op stream), and one-bend routes are borrowed from
+ * the Machine rather than copied, so a run allocates per CNOT only
+ * its reserved region (plus, under Dijkstra selection, the route).
  */
 
 #ifndef QC_SCHED_LIST_SCHEDULER_HPP
@@ -71,8 +76,13 @@ class ListScheduler
                  const std::vector<HwQubit> &layout,
                  const CancelToken *cancel = nullptr) const;
 
-    /** The route this scheduler would pick for a CNOT gate. */
-    RoutePath chooseRoute(HwQubit c, HwQubit t, int gate_idx) const;
+    /**
+     * The route this scheduler picks for a CNOT gate. One-bend
+     * selections return the Machine's own route; a Dijkstra route is
+     * built into `scratch`, which the result then refers to.
+     */
+    const RoutePath &chooseRoute(HwQubit c, HwQubit t, int gate_idx,
+                                 RoutePath &scratch) const;
 
   private:
     const Machine &machine_;

@@ -7,11 +7,11 @@
 namespace qc {
 
 ReservationLedger::ReservationLedger(int num_qubits)
-    : numQubits_(num_qubits)
+    : numQubits_(num_qubits),
+      head_(static_cast<size_t>(std::max(num_qubits, 0)), -1)
 {
     QC_ASSERT(num_qubits > 0, "degenerate machine with ", num_qubits,
               " qubits");
-    byQubit_.resize(static_cast<size_t>(num_qubits));
 }
 
 void
@@ -26,6 +26,13 @@ ReservationLedger::checkRegion(const Region &region) const
 }
 
 void
+ReservationLedger::reserveCapacity(size_t reservations, size_t cells)
+{
+    entries_.reserve(reservations);
+    links_.reserve(cells);
+}
+
+void
 ReservationLedger::reserve(const Region &region, Timeslot start,
                            Timeslot end)
 {
@@ -33,12 +40,13 @@ ReservationLedger::reserve(const Region &region, Timeslot start,
         return; // born dead: can never constrain a future query
     checkRegion(region);
     const int id = static_cast<int>(entries_.size());
-    entries_.push_back({start, end});
-    visitStamp_.push_back(0);
+    entries_.push_back({start, end, 0});
     // Region qubit sets are sorted and unique by construction, so
     // each bucket sees this entry exactly once.
-    for (HwQubit h : region.qubits)
-        byQubit_[h].push_back(id);
+    for (HwQubit h : region.qubits) {
+        links_.push_back({id, head_[h]});
+        head_[h] = static_cast<int>(links_.size()) - 1;
+    }
 }
 
 void
@@ -58,20 +66,19 @@ ReservationLedger::feasibleStart(const Region &region,
         moved = false;
         ++sweepSerial_;
         for (HwQubit h : region.qubits) {
-            auto &bucket = byQubit_[h];
-            for (size_t i = 0; i < bucket.size();) {
-                const int id = bucket[i];
-                const Entry &e = entries_[id];
+            int *link = &head_[h];
+            while (*link >= 0) {
+                Link &l = links_[static_cast<size_t>(*link)];
+                Entry &e = entries_[static_cast<size_t>(l.entry)];
                 if (e.end <= frontier_) {
-                    // Retired: can never matter again; drop it from
+                    // Retired: can never matter again; unlink it from
                     // this bucket (other buckets purge on their own
                     // scans).
-                    bucket[i] = bucket.back();
-                    bucket.pop_back();
+                    *link = l.next;
                     continue;
                 }
-                if (visitStamp_[id] != sweepSerial_) {
-                    visitStamp_[id] = sweepSerial_;
+                if (e.visitStamp != sweepSerial_) {
+                    e.visitStamp = sweepSerial_;
                     // Spatial overlap is implied: this entry's region
                     // covers qubit h, which the candidate also covers.
                     if (start < e.end && e.start < start + duration) {
@@ -79,7 +86,7 @@ ReservationLedger::feasibleStart(const Region &region,
                         moved = true;
                     }
                 }
-                ++i;
+                link = &l.next;
             }
         }
     }

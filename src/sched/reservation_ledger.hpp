@@ -14,7 +14,9 @@
  *    no set-intersection tests on unrelated reservations. On grid
  *    topologies qubits are grid cells, so this is exactly the
  *    historical per-cell bucketing; on arbitrary coupling graphs it
- *    works unchanged.
+ *    works unchanged. Buckets are singly linked chains through one
+ *    shared link array, so a reservation costs no per-bucket
+ *    allocation.
  *
  *  - List-scheduling commit times are monotone non-decreasing (the
  *    scheduler always commits the minimum feasible start among ready
@@ -49,6 +51,12 @@ class ReservationLedger
   public:
     /** @param num_qubits qubit count of the machine topology */
     explicit ReservationLedger(int num_qubits);
+
+    /**
+     * Pre-size for `reservations` reservations whose regions cover
+     * `cells` qubits in total, so recording them allocates nothing.
+     */
+    void reserveCapacity(size_t reservations, size_t cells);
 
     /** Record a reservation of `region` over [start, end). */
     void reserve(const Region &region, Timeslot start, Timeslot end);
@@ -87,6 +95,14 @@ class ReservationLedger
     {
         Timeslot start;
         Timeslot end;
+        int visitStamp; ///< last feasibleStart sweep that saw it
+    };
+
+    /** One entry's membership in one qubit's bucket chain. */
+    struct Link
+    {
+        int entry;
+        int next; ///< next link in the bucket, -1 at the end
     };
 
     /** Bounds-check `region` against the machine's qubit range. */
@@ -95,8 +111,8 @@ class ReservationLedger
     int numQubits_;
     Timeslot frontier_ = 0;
     std::vector<Entry> entries_;
-    std::vector<std::vector<int>> byQubit_; ///< qubit -> entry ids
-    std::vector<int> visitStamp_;           ///< entry id -> sweep serial
+    std::vector<Link> links_; ///< every bucket's links, append-only
+    std::vector<int> head_;   ///< qubit -> first link, -1 if empty
     int sweepSerial_ = 0;
 };
 

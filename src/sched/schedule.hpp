@@ -16,18 +16,6 @@
 
 namespace qc {
 
-/** One timed hardware operation. */
-struct TimedOp
-{
-    Gate gate;              ///< operands are hardware qubits
-    Timeslot start = 0;
-    Timeslot duration = 0;
-    int progGate = -1;      ///< originating program gate index
-    bool isRouteSwap = false;
-
-    Timeslot finish() const { return start + duration; }
-};
-
 /** Macro-level timing of one program gate (incl. its routing). */
 struct MacroTiming
 {

@@ -67,13 +67,13 @@ CompileService::runJob(const CompileRequest &request)
             result.program = std::move(cached);
             // Only attach a snapshot that's still pooled: a cache
             // hit must never pay for a Machine rebuild.
-            result.machine =
-                machines_.tryAcquire(request.topo, request.cal);
+            result.machine = machines_.tryAcquire(key.calibration);
             result.seconds = secondsSince(start);
             return result;
         }
 
-        result.machine = machines_.acquire(request.topo, request.cal);
+        result.machine = machines_.acquire(key.calibration, request.topo,
+                                           request.cal);
         PipelineResult compiled;
         if (request.options.portfolio.enabled) {
             // Race the enabled bundles on this job's queue slot. The

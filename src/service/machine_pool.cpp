@@ -37,8 +37,13 @@ MachinePool::touchLocked(std::uint64_t key)
 std::shared_ptr<const Machine>
 MachinePool::acquire(const Topology &topo, const Calibration &cal)
 {
-    const std::uint64_t key = machineKey(topo, cal);
+    return acquire(machineKey(topo, cal), topo, cal);
+}
 
+std::shared_ptr<const Machine>
+MachinePool::acquire(std::uint64_t key, const Topology &topo,
+                     const Calibration &cal)
+{
     std::promise<std::shared_ptr<const Machine>> promise;
     Entry entry;
     bool builder = false;
@@ -85,7 +90,12 @@ std::shared_ptr<const Machine>
 MachinePool::tryAcquire(const Topology &topo,
                         const Calibration &cal)
 {
-    const std::uint64_t key = machineKey(topo, cal);
+    return tryAcquire(machineKey(topo, cal));
+}
+
+std::shared_ptr<const Machine>
+MachinePool::tryAcquire(std::uint64_t key)
+{
     Entry entry;
     {
         std::lock_guard<std::mutex> lock(mu_);

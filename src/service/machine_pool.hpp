@@ -63,12 +63,23 @@ class MachinePool
                                            const Calibration &cal);
 
     /**
+     * acquire() for a caller that already holds the machine-day's
+     * fingerprint; `key` must equal machineKey(topo, cal).
+     */
+    std::shared_ptr<const Machine> acquire(std::uint64_t key,
+                                           const Topology &topo,
+                                           const Calibration &cal);
+
+    /**
      * The pooled snapshot for this machine-day, or null without
      * building one — for callers who only want it if it's cheap
      * (e.g. the compile-cache hit path).
      */
     std::shared_ptr<const Machine> tryAcquire(const Topology &topo,
                                               const Calibration &cal);
+
+    /** tryAcquire() by fingerprint: `key` = machineKey(topo, cal). */
+    std::shared_ptr<const Machine> tryAcquire(std::uint64_t key);
 
     /** Number of snapshots currently pooled. */
     std::size_t size() const;

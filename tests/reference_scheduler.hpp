@@ -61,8 +61,9 @@ referenceSchedule(const Machine &machine, const SchedulerOptions &options,
         const Gate &g = prog.gate(i);
         GatePlan &plan = plans[i];
         if (g.op == Op::CNOT) {
+            RoutePath scratch;
             plan.route = router.chooseRoute(layout[g.q0], layout[g.q1],
-                                            static_cast<int>(i));
+                                            static_cast<int>(i), scratch);
             plan.duration =
                 uniform_cnot >= 0
                     ? machine.uniformRouteDuration(
@@ -152,16 +153,8 @@ referenceSchedule(const Machine &machine, const SchedulerOptions &options,
         sched.macros[gi] = {gi, start, plan.duration};
         gate_finish[gi] = finish;
         if (plan.routed) {
-            for (const MicroOp &mop :
-                 expandRoute(machine, plan.route, uniform_cnot)) {
-                TimedOp top;
-                top.gate = mop.gate;
-                top.start = start + mop.offset;
-                top.duration = mop.duration;
-                top.progGate = gi;
-                top.isRouteSwap = mop.isRouteSwap;
-                sched.ops.push_back(top);
-            }
+            expandRoute(machine, plan.route, start, gi, sched.ops,
+                        uniform_cnot);
             reservations.push_back({plan.region, start, finish});
         } else {
             TimedOp top;

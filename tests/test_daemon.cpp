@@ -224,9 +224,11 @@ TEST(Daemon, OverQuotaSubmitIsRejectedStructurally)
     CompileDaemon d(topo(), day(0), opts);
 
     // A dense circuit keeps the single worker busy long enough for
-    // the second submit to land while the first is in flight.
+    // the second submit to land while the first is in flight. At
+    // 7000 CNOTs the compile takes milliseconds, so the submitting
+    // thread would have to be preempted for that long in between.
     Circuit big("big", 8);
-    for (int round = 0; round < 40; ++round)
+    for (int round = 0; round < 1000; ++round)
         for (int q = 0; q + 1 < 8; ++q)
             big.cnot(q, q + 1);
 

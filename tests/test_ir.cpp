@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ir/circuit.hpp"
 #include "ir/dag.hpp"
 #include "ir/program_graph.hpp"
 #include "support/logging.hpp"
 #include "workloads/benchmarks.hpp"
+#include "workloads/random_circuits.hpp"
 
 namespace qc {
 namespace {
@@ -156,6 +160,95 @@ TEST_P(DagAllBenchmarks, PredsAndSuccsAreInverse)
                       ss.end());
         }
     }
+}
+
+/**
+ * The DAG contract, pinned against an O(n^2) last-writer scan: preds
+ * in operand order (q0's last writer, then q1's, deduplicated), succs
+ * in increasing gate index, at most two of either. The SMT encoding
+ * adds its dependency constraints in this order.
+ */
+void
+expectDagMatchesLastWriterScan(const Circuit &c)
+{
+    const int n = static_cast<int>(c.size());
+    std::vector<std::vector<int>> preds(c.size());
+    for (int i = 0; i < n; ++i) {
+        const Gate &g = c.gate(static_cast<size_t>(i));
+        std::vector<int> operands{g.q0};
+        if (g.isTwoQubit())
+            operands.push_back(g.q1);
+        for (int q : operands) {
+            for (int j = i - 1; j >= 0; --j) {
+                const Gate &h = c.gate(static_cast<size_t>(j));
+                if (h.q0 != q && !(h.isTwoQubit() && h.q1 == q))
+                    continue;
+                auto &ps = preds[static_cast<size_t>(i)];
+                if (std::find(ps.begin(), ps.end(), j) == ps.end())
+                    ps.push_back(j);
+                break;
+            }
+        }
+    }
+
+    DependencyDag dag(c);
+    ASSERT_EQ(dag.numGates(), c.size());
+    for (int i = 0; i < n; ++i) {
+        std::vector<int> succs;
+        for (int j = i + 1; j < n; ++j) {
+            const auto &ps = preds[static_cast<size_t>(j)];
+            if (std::find(ps.begin(), ps.end(), i) != ps.end())
+                succs.push_back(j);
+        }
+        auto got_preds = dag.preds(i);
+        auto got_succs = dag.succs(i);
+        EXPECT_EQ(std::vector<int>(got_preds.begin(), got_preds.end()),
+                  preds[static_cast<size_t>(i)])
+            << "preds of gate " << i;
+        EXPECT_EQ(std::vector<int>(got_succs.begin(), got_succs.end()),
+                  succs)
+            << "succs of gate " << i;
+        EXPECT_LE(got_preds.size(), 2u);
+        EXPECT_LE(got_succs.size(), 2u);
+        for (size_t k = 0; k < got_preds.size(); ++k)
+            EXPECT_EQ(got_preds[k], preds[static_cast<size_t>(i)][k]);
+    }
+}
+
+TEST_P(DagAllBenchmarks, MatchesLastWriterScan)
+{
+    expectDagMatchesLastWriterScan(benchmarkByName(GetParam()).circuit);
+}
+
+TEST(Dag, RandomCircuitMatchesLastWriterScan)
+{
+    RandomCircuitSpec spec;
+    spec.numQubits = 8;
+    spec.numGates = 200;
+    spec.seed = 20190131;
+    spec.measureAll = false;
+    Circuit c = makeRandomCircuit(spec);
+    ASSERT_EQ(c.size(), 200u);
+    expectDagMatchesLastWriterScan(c);
+}
+
+TEST(Dag, RepeatedCnotIsOneEdge)
+{
+    Circuit c("repeat", 3);
+    c.cnot(0, 1);
+    c.cnot(0, 1);
+    c.cnot(1, 0);
+    c.h(2);
+    DependencyDag dag(c);
+    ASSERT_EQ(dag.preds(1).size(), 1u);
+    EXPECT_EQ(dag.preds(1)[0], 0);
+    ASSERT_EQ(dag.succs(0).size(), 1u);
+    EXPECT_EQ(dag.succs(0)[0], 1);
+    ASSERT_EQ(dag.preds(2).size(), 1u);
+    EXPECT_EQ(dag.preds(2)[0], 1);
+    EXPECT_TRUE(dag.preds(3).empty());
+    EXPECT_TRUE(dag.succs(3).empty());
+    expectDagMatchesLastWriterScan(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(

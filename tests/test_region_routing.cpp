@@ -157,6 +157,47 @@ TEST_F(RouteRegions, OneBendRegionCoversPathOnly)
     }
 }
 
+/**
+ * The 1BP footprint is built from the route's nodes; on grids it must
+ * equal the paper's rect formulation, the union of the two leg
+ * rectangles through the junction. RR stays the bounding box.
+ */
+TEST(RouteRegionRects, FootprintsEqualRectFormulation)
+{
+    for (const char *spec : {"grid:2x8", "grid:4x8"}) {
+        SCOPED_TRACE(spec);
+        Topology topo = topologyFromSpec(spec);
+        Machine m(topo, test::uniformCalibration(topo));
+        for (HwQubit a = 0; a < topo.numQubits(); ++a) {
+            for (HwQubit b = 0; b < topo.numQubits(); ++b) {
+                if (a == b)
+                    continue;
+                const GridPos pa = topo.posOf(a);
+                const GridPos pb = topo.posOf(b);
+                for (int j = 0; j < m.numOneBendPaths(a, b); ++j) {
+                    const RoutePath &r = m.oneBendPath(a, b, j);
+                    ASSERT_NE(r.junction, kInvalidQubit);
+                    const GridPos pj = topo.posOf(r.junction);
+                    EXPECT_EQ(
+                        routeRegion(topo, r, RoutingPolicy::OneBendPath)
+                            .qubits,
+                        regionFromRects(topo, {Rect::spanning(pa, pj),
+                                               Rect::spanning(pj, pb)})
+                            .qubits)
+                        << a << " -> " << b << " junction " << j;
+                    EXPECT_EQ(
+                        routeRegion(topo, r,
+                                    RoutingPolicy::RectangleReservation)
+                            .qubits,
+                        regionFromRects(topo, {Rect::spanning(pa, pb)})
+                            .qubits)
+                        << a << " -> " << b << " junction " << j;
+                }
+            }
+        }
+    }
+}
+
 TEST_F(RouteRegions, DijkstraRegionIsPerNode)
 {
     const auto &topo = m_.topo();
@@ -175,11 +216,13 @@ class RouteExpansion : public ::testing::Test
 
 TEST_F(RouteExpansion, AdjacentPairIsBareCnot)
 {
-    auto ops = expandRoute(m_, m_.bestReliabilityPath(0, 1));
+    std::vector<TimedOp> ops;
+    expandRoute(m_, m_.bestReliabilityPath(0, 1), 7, 3, ops);
     ASSERT_EQ(ops.size(), 1u);
     EXPECT_EQ(ops[0].gate.op, Op::CNOT);
     EXPECT_FALSE(ops[0].isRouteSwap);
-    EXPECT_EQ(ops[0].offset, 0);
+    EXPECT_EQ(ops[0].start, 7);
+    EXPECT_EQ(ops[0].progGate, 3);
 }
 
 TEST_F(RouteExpansion, DistantPairSwapsThereAndBack)
@@ -189,14 +232,17 @@ TEST_F(RouteExpansion, DistantPairSwapsThereAndBack)
     HwQubit b = topo.qubitAt(1, 3);
     const RoutePath &r = m_.bestReliabilityPath(a, b);
     int d = topo.distance(a, b);
-    auto ops = expandRoute(m_, r);
+    // expandRoute appends after the ops the caller already holds.
+    std::vector<TimedOp> ops(1);
+    expandRoute(m_, r, 5, 0, ops);
+    ops.erase(ops.begin());
     // (d-1) forward SWAPs + CNOT + (d-1) restore SWAPs.
     ASSERT_EQ(static_cast<int>(ops.size()), 2 * (d - 1) + 1);
     int swaps = 0;
     Timeslot total = 0;
-    Timeslot cursor = 0;
+    Timeslot cursor = 5;
     for (const auto &op : ops) {
-        EXPECT_EQ(op.offset, cursor) << "ops must be back-to-back";
+        EXPECT_EQ(op.start, cursor) << "ops must be back-to-back";
         cursor += op.duration;
         total += op.duration;
         if (op.gate.op == Op::Swap) {
@@ -223,7 +269,8 @@ TEST_F(RouteExpansion, UniformDurationsMatchStaticModel)
     HwQubit b = topo.qubitAt(0, 4);
     const RoutePath &r = m_.bestDurationPath(a, b);
     Timeslot tau = m_.uniformCnotDuration();
-    auto ops = expandRoute(m_, r, tau);
+    std::vector<TimedOp> ops;
+    expandRoute(m_, r, 0, 0, ops, tau);
     Timeslot total = 0;
     for (const auto &op : ops)
         total += op.duration;

@@ -36,8 +36,9 @@ expectNoSpaceTimeConflicts(const Machine &m, const Circuit &prog,
         const Gate &g = prog.gate(i);
         if (g.op != Op::CNOT)
             continue;
-        RoutePath route = sched_engine.chooseRoute(
-            layout[g.q0], layout[g.q1], static_cast<int>(i));
+        RoutePath scratch;
+        const RoutePath &route = sched_engine.chooseRoute(
+            layout[g.q0], layout[g.q1], static_cast<int>(i), scratch);
         Region region = routeRegion(m.topo(), route, opts.policy);
         reservations.push_back({std::move(region), sched.macros[i].start,
                                 sched.macros[i].finish()});
