@@ -86,16 +86,6 @@ mapperKindFromName(const std::string &name)
              "Sabre)");
 }
 
-const char *
-portfolioTieBreakName(PortfolioTieBreak tb)
-{
-    switch (tb) {
-      case PortfolioTieBreak::BundleOrder: return "bundle-order";
-      case PortfolioTieBreak::ShortestDuration: return "shortest-duration";
-    }
-    QC_PANIC("unknown portfolio tie-break");
-}
-
 std::vector<MapperKind>
 resolvedPortfolioBundles(const PortfolioOptions &options)
 {

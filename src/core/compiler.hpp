@@ -59,14 +59,6 @@ const char *mapperKindName(MapperKind k);
  */
 MapperKind mapperKindFromName(const std::string &name);
 
-/** Tie-break among portfolio candidates with equal predicted success. */
-enum class PortfolioTieBreak {
-    BundleOrder,      ///< lower bundle index wins (default)
-    ShortestDuration, ///< shorter makespan wins, then bundle order
-};
-
-const char *portfolioTieBreakName(PortfolioTieBreak tb);
-
 /**
  * Portfolio-racing configuration (core/portfolio.hpp). Lives inside
  * CompilerOptions so it rides through CompileRequest, the daemon
@@ -89,8 +81,6 @@ struct PortfolioOptions
      * win) instead of holding the whole race hostage. 0 = no cap.
      */
     unsigned deadlineMs = 10'000;
-
-    PortfolioTieBreak tieBreak = PortfolioTieBreak::BundleOrder;
 
     /**
      * Cap on pool workers a portfolio job may borrow for its

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <mutex>
 #include <numeric>
-#include <sstream>
 
 #include "support/logging.hpp"
 
@@ -67,33 +66,6 @@ circuitSuccessUpperBound(const Machine &machine, const Circuit &prog)
     return std::exp(log_ub);
 }
 
-std::vector<MapperKind>
-parsePortfolioBundles(const std::string &text)
-{
-    std::vector<MapperKind> out;
-    std::stringstream ss(text);
-    std::string token;
-    while (std::getline(ss, token, ',')) {
-        const auto first = token.find_first_not_of(" \t");
-        const auto last = token.find_last_not_of(" \t");
-        if (first == std::string::npos)
-            QC_FATAL("empty bundle name in portfolio list '", text,
-                     "'");
-        token = token.substr(first, last - first + 1);
-        const MapperKind k = mapperKindFromName(token);
-        for (MapperKind seen : out)
-            if (seen == k)
-                QC_FATAL("duplicate bundle '", mapperKindName(k),
-                         "' in portfolio list '", text, "'");
-        out.push_back(k);
-    }
-    if (out.empty())
-        QC_FATAL("portfolio list '", text,
-                 "' names no bundles (expected e.g. "
-                 "'greedye,sabre,rsmt*')");
-    return out;
-}
-
 std::vector<size_t>
 PortfolioPass::launchOrder(const std::vector<MapperKind> &bundles)
 {
@@ -141,7 +113,6 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
     PortfolioResult out;
     out.upperBound = circuitSuccessUpperBound(*machine_, prog);
     const double ub = out.upperBound;
-    const PortfolioTieBreak tiebreak = options_.portfolio.tieBreak;
 
     struct Slot
     {
@@ -167,12 +138,10 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
     // Sound early cancellation: a completed eligible candidate i with
     // prediction p provably beats every unfinished j when p > ub (no
     // mapping can predict above the bound), or when p == ub and i
-    // precedes j under the BundleOrder tie-break (j can at best tie,
-    // then loses the tie-break). Under ShortestDuration a tie at the
-    // bound could still be won by a shorter j, so only the strict
-    // form applies there. Cancelled candidates therefore never
-    // change the selected winner — timing decides how much work the
-    // losers burn, never who wins.
+    // precedes j in bundle order (j can at best tie, then loses the
+    // tie-break). Cancelled candidates therefore never change the
+    // selected winner — timing decides how much work the losers
+    // burn, never who wins.
     auto noteCompletion = [&](size_t i) {
         std::lock_guard<std::mutex> lock(mu);
         slots[i].done = true;
@@ -183,11 +152,7 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
         for (size_t j = 0; j < n; ++j) {
             if (j == i || slots[j].done)
                 continue;
-            const bool beats =
-                p > ub ||
-                (p == ub && i < j &&
-                 tiebreak == PortfolioTieBreak::BundleOrder);
-            if (beats)
+            if (p > ub || (p == ub && i < j))
                 slots[j].token.requestCancel(
                     std::string("outpaced by ") +
                     mapperKindName(bundles_[i]));
@@ -227,14 +192,9 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
     // thread timing cannot change the outcome because ineligible
     // candidates never win and cancellation only killed provable
     // losers.
-    auto better = [&](const PipelineResult &a, const PipelineResult &b) {
-        if (a.program.predictedSuccess != b.program.predictedSuccess)
-            return a.program.predictedSuccess >
-                   b.program.predictedSuccess;
-        if (tiebreak == PortfolioTieBreak::ShortestDuration &&
-            a.program.duration != b.program.duration)
-            return a.program.duration < b.program.duration;
-        return false; // bundle order: the earlier incumbent stays
+    // On equal predictions the earlier incumbent (bundle order) stays.
+    auto better = [](const PipelineResult &a, const PipelineResult &b) {
+        return a.program.predictedSuccess > b.program.predictedSuccess;
     };
 
     int chosen = -1;

@@ -19,15 +19,15 @@
  *    wall-clock luck and are excluded; so are degraded fallbacks and
  *    cancelled runs, which produce no program at all).
  *  - Selection happens after the race over the full candidate array
- *    in bundle order: max predicted success, ties broken by
- *    PortfolioTieBreak (default: lower bundle index).
+ *    in bundle order: max predicted success, ties broken by the
+ *    lower bundle index.
  *  - Early cancellation only kills *provable* losers. A completed
  *    eligible candidate i with predicted success p cancels an
  *    unfinished candidate j only when p > ub — where ub is
  *    circuitSuccessUpperBound, a bound no mapping of this circuit on
  *    this machine can exceed — or when p == ub and i precedes j in
- *    bundle order under the BundleOrder tie-break (j can at best tie
- *    and then loses the tie-break anyway). Both predictions and the
+ *    bundle order (j can at best tie and then loses the tie-break
+ *    anyway). Both predictions and the
  *    bound are exp(sum-of-logs) accumulated in program-gate order,
  *    so the bound dominates term-by-term.
  *
@@ -135,13 +135,6 @@ class SerialPortfolioExecutor final : public PortfolioExecutor
  */
 double circuitSuccessUpperBound(const Machine &machine,
                                 const Circuit &prog);
-
-/**
- * Parse a comma-separated bundle list ("greedye,sabre,rsmt*") with
- * mapperKindFromName's lenient matching. Throws FatalError on an
- * unknown name, a duplicate kind, or an empty list.
- */
-std::vector<MapperKind> parsePortfolioBundles(const std::string &text);
 
 /**
  * The racing engine. Construction prebuilds one standardPipeline per

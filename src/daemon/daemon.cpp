@@ -232,17 +232,26 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
     bool verifiedOnLoad = false;
     bool healedEntry = false;
     try {
+        // verify=1 means verified: memory entries may come from
+        // unverified verify=0 compiles, so a rejected one is a miss.
+        const bool verify = record->options.verify;
+        auto cached = memCache_.lookup(key);
+        if (cached && verify &&
+            !ProgramVerifier(*epoch->machine)
+                 .verify(record->circuit, *cached)
+                 .ok())
+            cached = nullptr;
         std::shared_ptr<const CompiledProgram> fromDisk;
-        if (auto cached = memCache_.lookup(key)) {
+        if (cached) {
             result.ok = true;
             result.cacheHit = true;
             result.program = std::move(cached);
             result.machine = epoch->machine;
             source = CacheSource::Memory;
-        } else if ((fromDisk = loadVerified(key, record->circuit,
-                                            *epoch->machine,
-                                            verifiedOnLoad,
-                                            healedEntry))) {
+        } else if ((fromDisk = loadVerified(
+                        key, record->circuit, *epoch->machine,
+                        verify || options_.verifyOnLoad,
+                        verifiedOnLoad, healedEntry))) {
             memCache_.insert(key, fromDisk);
             result.ok = true;
             result.cacheHit = true;
@@ -328,11 +337,11 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
 std::shared_ptr<const CompiledProgram>
 CompileDaemon::loadVerified(const service::CacheKey &key,
                             const Circuit &circuit,
-                            const Machine &machine,
+                            const Machine &machine, bool verify,
                             bool &verifiedOnLoad, bool &healedEntry)
 {
     auto loaded = disk_.load(key);
-    if (!loaded || !options_.verifyOnLoad)
+    if (!loaded || !verify)
         return loaded;
     // The frame checksum only proves the bytes round-tripped; the
     // translation validator proves the program still satisfies the

@@ -69,6 +69,8 @@ struct DaemonOptions
      * before serving it. A checksum-valid but semantically broken
      * entry (torn tooling, stale format, bit rot the frame missed) is
      * unlinked and recompiled instead of served — counted as healed.
+     * Jobs with CompilerOptions::verify set verify every cache hit,
+     * memory or disk, whatever this says.
      */
     bool verifyOnLoad = true;
 };
@@ -220,7 +222,7 @@ class CompileDaemon
     void runJob(const std::shared_ptr<JobRecord> &record);
     std::shared_ptr<const CompiledProgram> loadVerified(
         const service::CacheKey &key, const Circuit &circuit,
-        const Machine &machine, bool &verifiedOnLoad,
+        const Machine &machine, bool verify, bool &verifiedOnLoad,
         bool &healedEntry);
     void finishJob(const std::shared_ptr<JobRecord> &record);
     void noteHotUse(const Circuit &circuit,

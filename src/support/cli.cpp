@@ -63,12 +63,11 @@ strictParseDouble(const std::string &text, double &out)
 }
 
 int
-parseIntFlag(const std::string &flag, const std::string &text)
+parseIntFlag(const std::string &flag, const std::string &text, int lo,
+             int hi)
 {
     long long v = 0;
-    if (!strictParseLongLong(text, v) ||
-        v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max())
+    if (!strictParseLongLong(text, v) || v < lo || v > hi)
         rejectValue(flag, text);
     return static_cast<int>(v);
 }
@@ -98,10 +97,11 @@ parseUnsignedFlag(const std::string &flag, const std::string &text)
 }
 
 double
-parseDoubleFlag(const std::string &flag, const std::string &text)
+parseDoubleFlag(const std::string &flag, const std::string &text,
+                double lo, double hi)
 {
     double v = 0.0;
-    if (!strictParseDouble(text, v))
+    if (!strictParseDouble(text, v) || v < lo || v > hi)
         rejectValue(flag, text);
     return v;
 }

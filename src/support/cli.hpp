@@ -16,6 +16,7 @@
 #define QC_SUPPORT_CLI_HPP
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "support/logging.hpp"
@@ -64,13 +65,16 @@ bool strictParseDouble(const std::string &text, double &out);
  * @name Checked flag-value parsers
  *
  * Each parses the *entire* token (leading/trailing junk rejected,
- * "12x" is not 12) and range-checks against the destination type,
- * throwing UsageError("invalid value for --flag: 'text'") otherwise.
+ * "12x" is not 12) and range-checks against the destination type
+ * (and [lo, hi] where given), throwing
+ * UsageError("invalid value for --flag: 'text'") otherwise.
  * @{
  */
 
-/** Signed int flag value. */
-int parseIntFlag(const std::string &flag, const std::string &text);
+/** Signed int flag value in [lo, hi]. */
+int parseIntFlag(const std::string &flag, const std::string &text,
+                 int lo = std::numeric_limits<int>::min(),
+                 int hi = std::numeric_limits<int>::max());
 
 /** Unsigned 64-bit flag value (e.g. seeds). */
 std::uint64_t parseUint64Flag(const std::string &flag,
@@ -80,9 +84,10 @@ std::uint64_t parseUint64Flag(const std::string &flag,
 unsigned parseUnsignedFlag(const std::string &flag,
                            const std::string &text);
 
-/** Finite double flag value. */
-double parseDoubleFlag(const std::string &flag,
-                       const std::string &text);
+/** Finite double flag value in [lo, hi]. */
+double parseDoubleFlag(const std::string &flag, const std::string &text,
+                       double lo = -std::numeric_limits<double>::max(),
+                       double hi = std::numeric_limits<double>::max());
 
 /** @} */
 

@@ -28,6 +28,7 @@
 #include "support/rng.hpp"
 #include "tests/test_util.hpp"
 #include "verify/mutate.hpp"
+#include "verify/verifier.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace {
@@ -97,6 +98,33 @@ submitAndWait(CompileDaemon &d, const Circuit &circuit,
     EXPECT_TRUE(d.wait(out.id, snap));
     EXPECT_EQ(snap.state, daemon::JobState::Done);
     return snap;
+}
+
+/**
+ * Rewrite every cache entry under `dir` as a *well-framed* blob whose
+ * program is semantically broken (a dropped gate). Returns the count.
+ */
+std::size_t
+breakDiskEntries(const fs::path &dir)
+{
+    auto machine = std::make_shared<const Machine>(topo(), day(0));
+    std::size_t rewritten = 0;
+    for (const fs::directory_entry &e : fs::directory_iterator(dir)) {
+        std::ifstream in(e.path(), std::ios::binary);
+        std::ostringstream oss;
+        oss << in.rdbuf();
+        in.close();
+        CompiledProgram program;
+        Rng rng(test::kSeed);
+        if (!daemon::deserializeCompiledProgram(oss.str(), program) ||
+            !applyMutation(program, *machine, MutationKind::DropGate,
+                           rng))
+            return 0;
+        std::ofstream out(e.path(), std::ios::binary);
+        out << daemon::serializeCompiledProgram(program);
+        ++rewritten;
+    }
+    return rewritten;
 }
 
 // ---------------------------------------------------------------- //
@@ -389,28 +417,8 @@ TEST(Daemon, ChecksumValidButBrokenEntryIsHealedOnLoad)
         ASSERT_TRUE(submitAndWait(d, circuit).result.ok);
     }
 
-    // Rewrite every entry as a *well-framed* blob whose program is
-    // semantically broken (a dropped gate): the checksum passes, so
-    // only verify-on-load can catch it.
-    auto machine = std::make_shared<const Machine>(topo(), day(0));
-    std::size_t rewritten = 0;
-    for (const fs::directory_entry &e :
-         fs::directory_iterator(scratch.path)) {
-        std::ifstream in(e.path(), std::ios::binary);
-        std::ostringstream oss;
-        oss << in.rdbuf();
-        in.close();
-        CompiledProgram program;
-        ASSERT_TRUE(
-            daemon::deserializeCompiledProgram(oss.str(), program));
-        Rng rng(test::kSeed);
-        ASSERT_TRUE(applyMutation(program, *machine,
-                                  MutationKind::DropGate, rng));
-        std::ofstream out(e.path(), std::ios::binary);
-        out << daemon::serializeCompiledProgram(program);
-        ++rewritten;
-    }
-    ASSERT_EQ(rewritten, 1u);
+    // The checksum passes, so only verify-on-load can catch it.
+    ASSERT_EQ(breakDiskEntries(scratch.path), 1u);
 
     CompileDaemon d2(topo(), day(0), opts);
     JobSnapshot snap = submitAndWait(d2, circuit);
@@ -430,6 +438,50 @@ TEST(Daemon, ChecksumValidButBrokenEntryIsHealedOnLoad)
     EXPECT_EQ(again.cacheSource, daemon::CacheSource::Disk);
     EXPECT_EQ(d3.stats().verifiedOnLoad, 1u);
     EXPECT_EQ(d3.stats().healed, 0u);
+}
+
+TEST(Daemon, VerifySubmitNeverServesABrokenMemoryEntry)
+{
+    // Plant a broken program in the memory cache the way a verify=0
+    // job can: with verify-on-load off, it is served from a broken
+    // disk entry unverified and cached in memory.
+    ScratchDir scratch("verify-mem");
+    DaemonOptions opts = fastOptions();
+    opts.cacheDir = scratch.path.string();
+    opts.verifyOnLoad = false;
+    const Circuit circuit = benchmarkByName("BV4").circuit;
+    {
+        CompileDaemon d(topo(), day(0), opts);
+        ASSERT_TRUE(submitAndWait(d, circuit).result.ok);
+    }
+    ASSERT_EQ(breakDiskEntries(scratch.path), 1u);
+
+    CompileDaemon d(topo(), day(0), opts);
+    const Machine &machine = *d.currentEpoch()->machine;
+    JobSnapshot broken = submitAndWait(d, circuit);
+    ASSERT_EQ(broken.cacheSource, daemon::CacheSource::Disk);
+    ASSERT_FALSE(ProgramVerifier(machine)
+                     .verify(circuit, *broken.result.program)
+                     .ok());
+    ASSERT_EQ(submitAndWait(d, circuit).result.program,
+              broken.result.program); // now a memory hit
+
+    // verify=1 refuses the memory entry and the disk entry behind it,
+    // recompiles, and replaces both.
+    CompilerOptions verified = greedyOptions();
+    verified.verify = true;
+    CompileDaemon::SubmitOutcome out =
+        d.submit("t0", Lane::Normal, circuit, verified, "verified");
+    ASSERT_TRUE(out.accepted);
+    JobSnapshot snap;
+    ASSERT_TRUE(d.wait(out.id, snap));
+    ASSERT_TRUE(snap.result.ok);
+    EXPECT_EQ(snap.cacheSource, daemon::CacheSource::None);
+    EXPECT_TRUE(
+        ProgramVerifier(machine).verify(circuit, *snap.result.program).ok());
+    EXPECT_EQ(d.stats().healed, 1u);
+    EXPECT_EQ(submitAndWait(d, circuit).result.program,
+              snap.result.program);
 }
 
 TEST(Daemon, VerifyOnLoadCanBeDisabled)

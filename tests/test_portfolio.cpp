@@ -2,9 +2,9 @@
  * @file
  * Portfolio-racing tests: bundle-list parsing, the success upper
  * bound, deterministic winner selection (serial vs 8-thread
- * bit-identity), provable early cancellation, fingerprint
- * non-aliasing against single-bundle cache entries, service/report
- * integration, and the ThreadPool nested-submission deadlock guard —
+ * bit-identity), provable early cancellation, service/report
+ * integration (the portfolio's cache-key knobs are covered by
+ * tests/test_options.cpp), and the ThreadPool nested-submission deadlock guard —
  * the executor regression test wedges forever under a naive
  * submit-and-wait design.
  */
@@ -15,9 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/option_table.hpp"
 #include "core/portfolio.hpp"
 #include "service/compile_service.hpp"
-#include "service/fingerprints.hpp"
 #include "service/portfolio_executor.hpp"
 #include "tests/test_util.hpp"
 #include "workloads/benchmarks.hpp"
@@ -48,8 +48,16 @@ portfolioOptions(std::vector<MapperKind> bundles,
 }
 
 // ---------------------------------------------------------------- //
-// Bundle-list parsing
+// Bundle-list parsing (the option table's `portfolio` value)
 // ---------------------------------------------------------------- //
+
+std::vector<MapperKind>
+parsePortfolioBundles(const std::string &text)
+{
+    CompilerOptions options;
+    applyCompilerOption(options, "portfolio", text);
+    return options.portfolio.bundles;
+}
 
 TEST(PortfolioParse, LenientNamesAndOrderPreserved)
 {
@@ -257,51 +265,6 @@ TEST(PortfolioRace, CancellingTheRaceCancelsEveryCandidate)
     EXPECT_EQ(raced.cancelledCount,
               static_cast<int>(kHeuristics.size()));
     EXPECT_EQ(raced.best.status.code, CompileStatusCode::Cancelled);
-}
-
-// ---------------------------------------------------------------- //
-// Fingerprints: portfolio results never alias single-bundle entries
-// ---------------------------------------------------------------- //
-
-TEST(PortfolioFingerprints, KnobsSeparateCacheKeys)
-{
-    using qc::service::fingerprintOptions;
-
-    CompilerOptions single;
-    CompilerOptions racing = portfolioOptions({}, 10'000);
-    EXPECT_NE(fingerprintOptions(single), fingerprintOptions(racing));
-
-    CompilerOptions subset =
-        portfolioOptions({MapperKind::GreedyE, MapperKind::Sabre});
-    EXPECT_NE(fingerprintOptions(racing), fingerprintOptions(subset));
-
-    CompilerOptions short_deadline = portfolioOptions({}, 500);
-    EXPECT_NE(fingerprintOptions(racing),
-              fingerprintOptions(short_deadline));
-
-    CompilerOptions tie = portfolioOptions({}, 10'000);
-    tie.portfolio.tieBreak = PortfolioTieBreak::ShortestDuration;
-    EXPECT_NE(fingerprintOptions(racing), fingerprintOptions(tie));
-
-    // "Empty = all" and the explicit full list compile identically,
-    // so they must hash identically.
-    CompilerOptions explicit_all = portfolioOptions(
-        {kAllMapperKinds, kAllMapperKinds + std::size(kAllMapperKinds)});
-    EXPECT_EQ(fingerprintOptions(racing),
-              fingerprintOptions(explicit_all));
-
-    // Inert knobs of a DISABLED portfolio must not fragment the
-    // single-bundle key space.
-    CompilerOptions inert;
-    inert.portfolio.deadlineMs = 123;
-    inert.portfolio.bundles = {MapperKind::Sabre};
-    EXPECT_EQ(fingerprintOptions(single), fingerprintOptions(inert));
-
-    // maxWorkers is an execution knob, not a result knob.
-    CompilerOptions budgeted = portfolioOptions({}, 10'000);
-    budgeted.portfolio.maxWorkers = 2;
-    EXPECT_EQ(fingerprintOptions(racing),
-              fingerprintOptions(budgeted));
 }
 
 // ---------------------------------------------------------------- //

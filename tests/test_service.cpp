@@ -57,7 +57,8 @@ TEST(Fingerprints, CircuitContentSensitive)
     EXPECT_NE(fingerprintCircuit(c1), fingerprintCircuit(c4));
 }
 
-TEST(Fingerprints, CalibrationAndOptionsSensitive)
+// Option fingerprints: tests/test_options.cpp, driven by the table.
+TEST(Fingerprints, CalibrationSensitive)
 {
     GridTopology topo(2, 4);
     Calibration cal = test::uniformCalibration(topo);
@@ -65,10 +66,6 @@ TEST(Fingerprints, CalibrationAndOptionsSensitive)
     cal2.cnotError[0] += 1e-9;
     EXPECT_NE(fingerprintCalibration(cal), fingerprintCalibration(cal2));
     EXPECT_NE(machineKey(topo, cal), machineKey(GridTopology(4, 2), cal));
-
-    CompilerOptions o1, o2;
-    o2.mapper = MapperKind::GreedyE;
-    EXPECT_NE(fingerprintOptions(o1), fingerprintOptions(o2));
 }
 
 TEST(Fingerprints, TopologyHashCannotAliasEqualQubitCounts)

@@ -6,9 +6,9 @@
  * command per invocation:
  *
  *   naqc-client --socket PATH submit (--bench NAME | --qasm FILE)
- *               [--tenant T] [--priority P] [--mapper M] [--tag TEXT]
- *               [--portfolio[=K1,K2,...]] [--portfolio-deadline-ms MS]
- *               [--wait]
+ *               [--tenant T] [--priority P] [--tag TEXT] [--wait]
+ *               [compile options: every naqc option-table flag,
+ *                forwarded as key=value for the daemon to validate]
  *   naqc-client --socket PATH status ID
  *   naqc-client --socket PATH wait ID
  *   naqc-client --socket PATH stats
@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/option_table.hpp"
 #include "daemon/net.hpp"
 #include "support/logging.hpp"
 
@@ -48,12 +49,9 @@ struct ClientCli
     std::string calibrationPath;
     std::string tenant;
     std::string priority;
-    std::string mapper;
     std::string tag;
     std::string day;
-    bool portfolio = false;
-    std::string portfolioBundles;  ///< comma list; empty = all
-    std::string portfolioDeadline; ///< ms; daemon validates
+    std::string compileArgs; ///< " key=value" per option-table flag
     bool wait = false;
     bool help = false;
 };
@@ -65,9 +63,7 @@ printUsage(std::ostream &os)
           "commands:\n"
           "  submit   --bench NAME | --qasm FILE ('-' = stdin)\n"
           "           [--tenant T] [--priority high|normal|low]\n"
-          "           [--mapper NAME] [--tag TEXT] [--wait]\n"
-          "           [--portfolio[=K1,K2,...]] "
-          "[--portfolio-deadline-ms MS]\n"
+          "           [--tag TEXT] [--wait] [compile options]\n"
           "  status ID    non-blocking job state\n"
           "  wait ID      block until the job finishes\n"
           "  stats        daemon counters\n"
@@ -75,7 +71,9 @@ printUsage(std::ostream &os)
           "  drain        stop admissions, wait for idle\n"
           "  shutdown     drain, then stop the daemon\n"
           "  ping         liveness check\n"
-          "exit codes: 0 ok, 1 error, 3 rejected submit\n";
+          "exit codes: 0 ok, 1 error, 3 rejected submit\n"
+          "compile options (validated by the daemon):\n"
+       << compilerOptionUsage();
 }
 
 ClientCli
@@ -89,7 +87,11 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--socket") {
+        std::string key, value;
+        if (matchCompilerOptionFlag(
+                arg, [&] { return need(i, arg.c_str()); }, key, value)) {
+            cli.compileArgs += " " + key + "=" + value;
+        } else if (arg == "--socket") {
             cli.socketPath = need(i, "--socket");
         } else if (arg == "--bench") {
             cli.bench = need(i, "--bench");
@@ -101,19 +103,8 @@ parseArgs(int argc, char **argv)
             cli.tenant = need(i, "--tenant");
         } else if (arg == "--priority") {
             cli.priority = need(i, "--priority");
-        } else if (arg == "--mapper") {
-            cli.mapper = need(i, "--mapper");
         } else if (arg == "--tag") {
             cli.tag = need(i, "--tag");
-        } else if (arg == "--portfolio") {
-            cli.portfolio = true;
-        } else if (arg.rfind("--portfolio=", 0) == 0) {
-            cli.portfolio = true;
-            cli.portfolioBundles =
-                arg.substr(std::string("--portfolio=").size());
-        } else if (arg == "--portfolio-deadline-ms") {
-            cli.portfolioDeadline =
-                need(i, "--portfolio-deadline-ms");
         } else if (arg == "--day") {
             cli.day = need(i, "--day");
         } else if (arg == "--wait") {
@@ -187,7 +178,11 @@ finish(daemon::LineChannel &ch, bool expect_payload_on_ok,
                    ? kExitRejected
                    : kExitError;
     }
-    if (expect_payload_on_ok && !drainPayload(ch, payload_out)) {
+    // A waited submit whose job failed carries no QASM payload; the
+    // "ok=0" result line on stderr is the whole story then.
+    if (expect_payload_on_ok &&
+        reply.find(" ok=0") == std::string::npos &&
+        !drainPayload(ch, payload_out)) {
         std::cerr << "naqc-client: truncated payload\n";
         return kExitError;
     }
@@ -221,18 +216,9 @@ run(const ClientCli &cli)
             req << " tenant=" << cli.tenant;
         if (!cli.priority.empty())
             req << " priority=" << cli.priority;
-        if (!cli.mapper.empty())
-            req << " mapper=" << cli.mapper;
         if (!cli.tag.empty())
             req << " tag=" << cli.tag;
-        if (cli.portfolio)
-            req << " portfolio="
-                << (cli.portfolioBundles.empty()
-                        ? "all"
-                        : cli.portfolioBundles);
-        if (!cli.portfolioDeadline.empty())
-            req << " portfolio_deadline_ms="
-                << cli.portfolioDeadline;
+        req << cli.compileArgs;
         if (cli.wait)
             req << " wait=1";
         if (!ch.writeLine(req.str()) ||
@@ -240,25 +226,7 @@ run(const ClientCli &cli)
             std::cerr << "naqc-client: write failed\n";
             return kExitError;
         }
-        // A waited submit whose job failed carries no QASM payload;
-        // the "ok=0" result line on stderr is the whole story then.
-        std::string reply;
-        if (!ch.readLine(reply)) {
-            std::cerr << "naqc-client: connection closed\n";
-            return kExitError;
-        }
-        std::cerr << reply << "\n";
-        if (reply.rfind("ok", 0) != 0)
-            return reply.find("reason=rejected:") !=
-                           std::string::npos
-                       ? kExitRejected
-                       : kExitError;
-        if (cli.wait && reply.find(" ok=1") != std::string::npos &&
-            !drainPayload(ch, std::cout)) {
-            std::cerr << "naqc-client: truncated payload\n";
-            return kExitError;
-        }
-        return 0;
+        return finish(ch, cli.wait, std::cout);
     }
 
     if (cli.command == "status" || cli.command == "wait") {

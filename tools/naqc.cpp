@@ -34,6 +34,7 @@
 #include <string>
 
 #include "core/compiler.hpp"
+#include "core/option_table.hpp"
 #include "core/portfolio.hpp"
 #include "machine/calibration_io.hpp"
 #include "service/compile_service.hpp"
@@ -70,7 +71,6 @@ struct CliOptions
     std::vector<std::string> qasmPaths;
     std::string outPath;
     std::string calibrationPath;
-    std::string mapper = "R-SMT*";
     std::string expected;
     std::string topology; ///< spec string; empty = rows x cols grid
     int rows = 2;
@@ -80,18 +80,11 @@ struct CliOptions
     int days = 1;
     int jobs = 0;  ///< >0 switches to batch/service mode
     std::uint64_t seed = 20190131;
-    double omega = 0.5;
-    unsigned timeoutMs = 60'000;
-    int sabreIterations = 3;
-    int sabreLookahead = 20;
     int simulateTrials = 0;
-    bool portfolio = false;         ///< race mapper bundles
-    std::string portfolioBundles;   ///< comma list; empty = all
-    unsigned portfolioDeadlineMs = 10'000;
     bool report = false;
     bool trace = false;
-    bool verify = false;          ///< exit 4 on validation failure
     std::string verifyMutate;     ///< mutation kind to inject, if any
+    CompilerOptions compiler;     ///< set through the option table
     bool help = false;
 
     bool batchMode() const { return jobs > 0 || days > 1; }
@@ -105,10 +98,6 @@ printUsage(std::ostream &os)
           "stdin; repeatable)\n"
           "  --out FILE           write compiled OpenQASM here "
           "(default: stdout)\n"
-          "  --mapper NAME        Qiskit | T-SMT | T-SMT* | R-SMT* | "
-          "GreedyV* | GreedyE* | GreedyE*+track | Sabre\n"
-          "                       (case-insensitive; aliases like "
-          "'rsmt*', 'track' or 'sabre' work)\n"
           "  --topology SPEC      machine coupling graph: "
           "grid:RxC | heavyhex:D |\n"
           "                       ring:N | linear:N | file:PATH "
@@ -121,26 +110,10 @@ printUsage(std::ostream &os)
           "calibration_io.hpp)\n"
           "  --seed S --day D     synthetic calibration instead "
           "(defaults 20190131, 0)\n"
-          "  --omega W            Eq. 12 readout weight for R-SMT* "
-          "(default 0.5)\n"
-          "  --timeout MS         SMT budget in milliseconds (default "
-          "60000)\n"
-          "  --sabre-iterations N Sabre refinement round trips "
-          "(default 3)\n"
-          "  --sabre-lookahead W  Sabre lookahead window in CNOTs "
-          "(default 20)\n"
           "  --days D             batch: compile against D days "
           "starting at --day\n"
           "  --jobs N             batch: run on a compile service "
           "with N workers\n"
-          "  --portfolio[=K1,K2]  race mapper bundles concurrently and "
-          "keep the best\n"
-          "                       predicted success (bare flag: all "
-          "eight bundles)\n"
-          "  --portfolio-deadline-ms MS\n"
-          "                       cap each SMT bundle's solver budget "
-          "in the race\n"
-          "                       (default 10000; 0 = keep --timeout)\n"
           "  --simulate N         Monte-Carlo N trials on the noisy "
           "simulator\n"
           "  --expected BITS      correct answer for --simulate "
@@ -151,10 +124,6 @@ printUsage(std::ostream &os)
           "and exit\n"
           "  --dump-benchmark N   write a Table 2 benchmark as "
           "OpenQASM and exit\n"
-          "  --verify             run the translation validator on "
-          "the compiled\n"
-          "                       program; exit 4 with a lint report "
-          "on violation\n"
           "  --verify-mutate K    corrupt the compiled program with "
           "mutation K and\n"
           "                       verify it (verifier demo/oracle; "
@@ -171,7 +140,9 @@ printUsage(std::ostream &os)
           "(stderr in single\n"
           "                       mode, stdout after the batch "
           "report)\n"
-          "  --help               this text\n";
+          "  --help               this text\n"
+          "compile options:\n"
+       << compilerOptionUsage();
 }
 
 CliOptions
@@ -186,12 +157,14 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--qasm") {
+        std::string key, value;
+        if (matchCompilerOptionFlag(
+                arg, [&] { return need(i, arg.c_str()); }, key, value)) {
+            applyCompilerOption(opts.compiler, key, value);
+        } else if (arg == "--qasm") {
             opts.qasmPaths.push_back(need(i, "--qasm"));
         } else if (arg == "--out") {
             opts.outPath = need(i, "--out");
-        } else if (arg == "--mapper") {
-            opts.mapper = need(i, "--mapper");
         } else if (arg == "--topology") {
             opts.topology = need(i, "--topology");
         } else if (arg == "--rows") {
@@ -224,34 +197,6 @@ parseArgs(int argc, char **argv)
             opts.jobs = cli::parseIntFlag("--jobs", need(i, "--jobs"));
             if (opts.jobs < 1)
                 QC_FATAL("--jobs must be >= 1");
-        } else if (arg == "--omega") {
-            opts.omega = cli::parseDoubleFlag("--omega",
-                                              need(i, "--omega"));
-        } else if (arg == "--timeout") {
-            opts.timeoutMs = cli::parseUnsignedFlag(
-                "--timeout", need(i, "--timeout"));
-        } else if (arg == "--sabre-iterations") {
-            opts.sabreIterations = cli::parseIntFlag(
-                "--sabre-iterations", need(i, "--sabre-iterations"));
-        } else if (arg == "--sabre-lookahead") {
-            opts.sabreLookahead = cli::parseIntFlag(
-                "--sabre-lookahead", need(i, "--sabre-lookahead"));
-        } else if (arg == "--portfolio") {
-            opts.portfolio = true;
-        } else if (arg.rfind("--portfolio=", 0) == 0) {
-            opts.portfolio = true;
-            opts.portfolioBundles =
-                arg.substr(std::string("--portfolio=").size());
-            // Validate now so a typo exits 2 before any compilation.
-            try {
-                parsePortfolioBundles(opts.portfolioBundles);
-            } catch (const FatalError &e) {
-                throw cli::UsageError(e.what());
-            }
-        } else if (arg == "--portfolio-deadline-ms") {
-            opts.portfolioDeadlineMs = cli::parseUnsignedFlag(
-                "--portfolio-deadline-ms",
-                need(i, "--portfolio-deadline-ms"));
         } else if (arg == "--simulate") {
             opts.simulateTrials = cli::parseIntFlag(
                 "--simulate", need(i, "--simulate"));
@@ -261,8 +206,6 @@ parseArgs(int argc, char **argv)
             opts.report = true;
         } else if (arg == "--trace") {
             opts.trace = true;
-        } else if (arg == "--verify") {
-            opts.verify = true;
         } else if (arg == "--verify-mutate") {
             opts.verifyMutate = need(i, "--verify-mutate");
             // Validate now so a typo exits 2 before any compilation.
@@ -299,27 +242,6 @@ topologyFromOptions(const CliOptions &opts)
                      "--topology grid:"
                   << opts.rows << "x" << opts.cols << "\n";
     return GridTopology(opts.rows, opts.cols);
-}
-
-/** CompilerOptions shared by single and batch mode. */
-CompilerOptions
-compilerOptionsFromCli(const CliOptions &opts)
-{
-    CompilerOptions copts;
-    copts.mapper = mapperKindFromName(opts.mapper);
-    copts.readoutWeight = opts.omega;
-    copts.smtTimeoutMs = opts.timeoutMs;
-    copts.sabreIterations = opts.sabreIterations;
-    copts.sabreLookahead = opts.sabreLookahead;
-    copts.verify = opts.verify;
-    if (opts.portfolio) {
-        copts.portfolio.enabled = true;
-        copts.portfolio.deadlineMs = opts.portfolioDeadlineMs;
-        if (!opts.portfolioBundles.empty())
-            copts.portfolio.bundles =
-                parsePortfolioBundles(opts.portfolioBundles);
-    }
-    return copts;
 }
 
 std::string
@@ -412,8 +334,6 @@ runBatch(const CliOptions &opts)
     Topology topo = topologyFromOptions(opts);
     CalibrationModel model(topo, opts.seed);
 
-    CompilerOptions copts = compilerOptionsFromCli(opts);
-
     std::vector<std::pair<std::string, Circuit>> programs;
     for (const std::string &path : opts.qasmPaths) {
         std::string name =
@@ -427,7 +347,8 @@ runBatch(const CliOptions &opts)
     service::CompileService svc(sopts);
     std::vector<service::CompileRequest> requests =
         service::CompileService::dailyBatch(model, programs, opts.day,
-                                            opts.days, copts);
+                                            opts.days,
+                                            opts.compiler);
     const std::size_t total = requests.size();
 
     // SIGINT must not abandon a half-printed run: the handler sets a
@@ -556,8 +477,7 @@ runCli(const CliOptions &opts)
         cal = model.forDay(opts.day);
     }
 
-    CompilerOptions copts = compilerOptionsFromCli(opts);
-
+    const CompilerOptions &copts = opts.compiler;
     auto machine = std::make_shared<const Machine>(topo, cal);
     PipelineResult result;
     if (copts.portfolio.enabled) {

@@ -11,9 +11,16 @@
  * payload block terminated by a lone "."):
  *
  *   submit bench=NAME|qasm=inline [tenant=T] [priority=high|normal|low]
- *          [mapper=NAME] [portfolio=all|K1,K2,...]
- *          [portfolio_deadline_ms=MS] [tag=TEXT] [wait=1]
- *          -- with qasm=inline, the QASM text follows as a payload
+ *          [tag=TEXT] [wait=1] [mapper=NAME] [omega=W] [timeout=MS]
+ *          [sabre_iterations=N] [sabre_lookahead=W]
+ *          [portfolio=off|all|K1,K2,...] [portfolio_deadline_ms=MS]
+ *          [verify=0|1]
+ *          -- the compile keys are the option table's
+ *             (core/option_table.hpp), parsed by the same code as
+ *             naqc's flags; any other key is `err reason=unknown-key:K`
+ *             and a malformed or out-of-range value an `err` naming
+ *             its flag.
+ *             With qasm=inline, the QASM text follows as a payload
  *             block; the response to wait=1 carries the compiled QASM
  *             back the same way.
  *   status id=N          non-blocking job state
@@ -43,6 +50,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/option_table.hpp"
 #include "core/portfolio.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/net.hpp"
@@ -298,25 +306,13 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
         return;
     }
 
+    static const std::set<std::string> kRequestKeys = {
+        "bench", "qasm", "tenant", "priority", "tag", "wait"};
     CompilerOptions copts;
     try {
-        if (req.has("mapper"))
-            copts.mapper = mapperKindFromName(req.get("mapper"));
-        if (req.has("portfolio")) {
-            copts.portfolio.enabled = true;
-            const std::string spec = req.get("portfolio");
-            // "portfolio" as a bare flag parses as value "1"; both it
-            // and "all" mean every bundle.
-            if (spec != "all" && spec != "1")
-                copts.portfolio.bundles = parsePortfolioBundles(spec);
-        }
-        if (req.has("portfolio_deadline_ms")) {
-            const long long ms =
-                req.getInt("portfolio_deadline_ms", -1);
-            if (ms < 0)
-                QC_FATAL("bad portfolio_deadline_ms '",
-                         req.get("portfolio_deadline_ms"), "'");
-            copts.portfolio.deadlineMs = static_cast<unsigned>(ms);
+        for (const auto &[key, value] : req.args) {
+            if (kRequestKeys.count(key) == 0)
+                applyCompilerOption(copts, key, value);
         }
     } catch (const std::exception &e) {
         ch.writeLine("err reason=" + tokenSafe(e.what()));
