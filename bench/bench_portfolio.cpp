@@ -34,6 +34,7 @@
 #include "core/portfolio.hpp"
 #include "service/portfolio_executor.hpp"
 #include "service/thread_pool.hpp"
+#include "support/stats.hpp"
 
 using namespace qc;
 
@@ -45,14 +46,6 @@ smtTimeoutMs()
     if (const char *s = std::getenv("QC_BENCH_SMT_TIMEOUT_MS"))
         return static_cast<unsigned>(std::strtoul(s, nullptr, 10));
     return 10'000;
-}
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
 }
 
 struct InstanceRow

@@ -31,6 +31,7 @@
 #include "bench_json.hpp"
 #include "bench_util.hpp"
 #include "core/compiler.hpp"
+#include "support/stats.hpp"
 #include "verify/verifier.hpp"
 
 using namespace qc;
@@ -46,14 +47,6 @@ smtTimeoutMs()
     if (const char *s = std::getenv("QC_BENCH_SMT_TIMEOUT_MS"))
         return static_cast<unsigned>(std::strtoul(s, nullptr, 10));
     return 10'000;
-}
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
 }
 
 struct InstanceRow

@@ -181,6 +181,10 @@ NoiseAdaptiveCompiler::NoiseAdaptiveCompiler(
       // A null snapshot panics inside PipelineBuilder's constructor.
       pipeline_(standardPipeline(machine_, options_))
 {
+    if (options_.portfolio.enabled)
+        QC_FATAL("NoiseAdaptiveCompiler compiles one bundle and cannot "
+                 "race options.portfolio; use compileJob or "
+                 "PortfolioPass (core/portfolio.hpp)");
 }
 
 CompiledProgram

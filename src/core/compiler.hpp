@@ -24,7 +24,9 @@
 #include "ir/qasm.hpp"
 #include "machine/calibration_model.hpp"
 #include "machine/machine.hpp"
+#include "mappers/sabre_mapper.hpp"
 #include "route/routing.hpp"
+#include "solver/smt_model.hpp"
 
 namespace qc {
 
@@ -94,16 +96,16 @@ struct CompilerOptions
 {
     MapperKind mapper = MapperKind::RSmtStar;
     RoutingPolicy policy = RoutingPolicy::OneBendPath;
-    double readoutWeight = 0.5;   ///< Eq. 12 omega (R-SMT*)
-    unsigned smtTimeoutMs = 60'000;
+    double readoutWeight = kDefaultReadoutWeight; ///< Eq. 12 omega
+    unsigned smtTimeoutMs = kDefaultSmtTimeoutMs;
     bool jointScheduling = true;  ///< full SMT formulation
 
     /** @name Sabre knobs (MapperKind::Sabre only)
      *  Forwarded to SabreOptions; both steer the mapping, so both are
      *  part of the service's compile-cache key (fingerprintOptions).
      *  @{ */
-    int sabreIterations = 3; ///< refinement round trips
-    int sabreLookahead = 20; ///< decayed lookahead window (CNOTs)
+    int sabreIterations = kDefaultSabreIterations; ///< round trips
+    int sabreLookahead = kDefaultSabreLookahead; ///< window (CNOTs)
     /** @} */
 
     /**
@@ -143,6 +145,8 @@ Pipeline standardPipeline(std::shared_ptr<const Machine> machine,
  * immutable view; re-create the compiler per calibration cycle (the
  * paper recompiles daily), or hand it a snapshot from a
  * service::MachinePool so many compilers share one precompute.
+ * It runs options.mapper's bundle only: construction throws
+ * FatalError when options.portfolio.enabled (compileJob races).
  */
 class NoiseAdaptiveCompiler
 {

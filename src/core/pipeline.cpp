@@ -5,20 +5,9 @@
 
 #include "core/passes.hpp"
 #include "support/logging.hpp"
+#include "support/stats.hpp"
 
 namespace qc {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-} // namespace
 
 void
 CompileContext::addNote(const std::string &text)
@@ -37,7 +26,7 @@ Pipeline::forMachine(std::shared_ptr<const Machine> machine)
 PipelineResult
 Pipeline::run(const Circuit &prog, const CancelToken *cancel) const
 {
-    const auto t_run = Clock::now();
+    const auto t_run = std::chrono::steady_clock::now();
 
     CompileContext ctx;
     ctx.prog = &prog;
@@ -49,7 +38,7 @@ Pipeline::run(const Circuit &prog, const CancelToken *cancel) const
     traces.reserve(passes_.size());
 
     for (const auto &pass : passes_) {
-        const auto t0 = Clock::now();
+        const auto t0 = std::chrono::steady_clock::now();
         CompileStatus status;
         try {
             // Stage-boundary checkpoint; passes poll inside their own
@@ -117,7 +106,7 @@ Pipeline::run(const Circuit &prog, const CancelToken *cancel) const
     p.stageTraces = std::move(traces);
 
     if (verifies()) {
-        const auto t_verify = Clock::now();
+        const auto t_verify = std::chrono::steady_clock::now();
         const ProgramVerifier verifier(
             *machine_, verifyOptionsFor(ctx.schedOptions));
         const VerifyReport report = verifier.verify(prog, p);

@@ -284,4 +284,16 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
     return out;
 }
 
+PortfolioResult
+compileJob(const std::shared_ptr<const Machine> &machine,
+           const Circuit &prog, const CompilerOptions &options,
+           PortfolioExecutor *executor)
+{
+    if (options.portfolio.enabled)
+        return PortfolioPass(machine, options).run(prog, executor);
+    PortfolioResult single;
+    single.best = standardPipeline(machine, options).run(prog);
+    return single;
+}
+
 } // namespace qc

@@ -174,6 +174,20 @@ class PortfolioPass
     std::vector<Pipeline> pipelines_; ///< one per bundle
 };
 
+/**
+ * Compile one job on `machine`: a PortfolioPass race when
+ * options.portfolio.enabled, else options.mapper's standardPipeline.
+ * Either way `best` holds the pipeline result; the race fields
+ * (winnerIndex, candidates, counts, upperBound) are filled only for
+ * a race. The one per-job compile of naqc, CompileService and naqcd.
+ *
+ * @param executor runs a race's candidates; null = serial
+ */
+PortfolioResult compileJob(const std::shared_ptr<const Machine> &machine,
+                           const Circuit &prog,
+                           const CompilerOptions &options,
+                           PortfolioExecutor *executor = nullptr);
+
 } // namespace qc
 
 #endif // QC_CORE_PORTFOLIO_HPP

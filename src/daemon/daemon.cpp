@@ -5,24 +5,15 @@
 #include <cstdio>
 #include <thread>
 
-#include "core/portfolio.hpp"
 #include "service/fingerprints.hpp"
-#include "service/portfolio_executor.hpp"
 #include "support/fingerprint.hpp"
 #include "support/logging.hpp"
+#include "support/stats.hpp"
 #include "verify/verifier.hpp"
 
 namespace qc::daemon {
 
 namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 std::string
 hexFp(std::uint64_t v)
@@ -50,6 +41,9 @@ defaultShards(int threads)
 
 /** The internal tenant warm recompiles run under (bypasses quota). */
 const char *const kWarmTenant = "@warm";
+
+/** Completed job records kept for status/wait; older ones are pruned. */
+constexpr std::size_t kJobHistory = 65536;
 
 } // namespace
 
@@ -228,95 +222,38 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
         noteHotUse(record->circuit, record->options,
                    record->circuitFp, record->optionsFp);
 
+    // verify=1 means verified: memory entries may come from
+    // unverified verify=0 compiles, so a rejected one is a miss.
+    const bool verify = record->options.verify;
     CacheSource source = CacheSource::None;
     bool verifiedOnLoad = false;
     bool healedEntry = false;
-    try {
-        // verify=1 means verified: memory entries may come from
-        // unverified verify=0 compiles, so a rejected one is a miss.
-        const bool verify = record->options.verify;
-        auto cached = memCache_.lookup(key);
-        if (cached && verify &&
-            !ProgramVerifier(*epoch->machine)
-                 .verify(record->circuit, *cached)
-                 .ok())
-            cached = nullptr;
-        std::shared_ptr<const CompiledProgram> fromDisk;
-        if (cached) {
-            result.ok = true;
-            result.cacheHit = true;
-            result.program = std::move(cached);
-            result.machine = epoch->machine;
-            source = CacheSource::Memory;
-        } else if ((fromDisk = loadVerified(
-                        key, record->circuit, *epoch->machine,
-                        verify || options_.verifyOnLoad,
-                        verifiedOnLoad, healedEntry))) {
-            memCache_.insert(key, fromDisk);
-            result.ok = true;
-            result.cacheHit = true;
-            result.program = std::move(fromDisk);
-            result.machine = epoch->machine;
-            source = CacheSource::Disk;
-        } else {
-            PipelineResult compiled;
-            if (record->options.portfolio.enabled) {
-                // Race on this job's worker slot; candidates borrow
-                // only idle pool workers (help-while-wait), so raced
-                // submissions can't wedge or oversubscribe the pool.
-                PortfolioPass pass(epoch->machine, record->options);
-                service::PoolPortfolioExecutor exec(
-                    pool_, record->options.portfolio.maxWorkers);
-                PortfolioResult raced =
-                    pass.run(record->circuit, &exec);
-                if (raced.winnerIndex >= 0)
-                    result.winner =
-                        raced
-                            .candidates[static_cast<std::size_t>(
-                                raced.winnerIndex)]
-                            .name;
-                result.portfolio = std::move(raced.candidates);
-                compiled = std::move(raced.best);
-            } else {
-                Pipeline pipeline =
-                    standardPipeline(epoch->machine, record->options);
-                compiled = pipeline.run(record->circuit);
-            }
-            result.status = compiled.status;
-            result.failedStage = compiled.failedStage;
-            result.machine = epoch->machine;
-            if (compiled.hasProgram) {
-                result.stageTraces = compiled.program.stageTraces;
-                auto program =
-                    std::make_shared<const CompiledProgram>(
-                        std::move(compiled.program));
-                // Degraded fallbacks are usable but never cached
-                // (same policy as CompileService).
-                if (compiled.status.ok()) {
-                    memCache_.insert(key, program);
-                    disk_.store(key, *program);
-                }
-                result.program = std::move(program);
-                result.ok = true;
-            } else {
-                result.ok = false;
-                result.stageTraces =
-                    std::move(compiled.program.stageTraces);
-                result.program = nullptr;
-                result.machine = nullptr;
-            }
-        }
-    } catch (const std::exception &e) {
-        result.ok = false;
-        result.status = CompileStatus::internalError(e.what());
-        result.program = nullptr;
-        result.machine = nullptr;
-    } catch (...) {
-        result.ok = false;
-        result.status = CompileStatus::internalError(
-            "unknown exception during compilation");
-        result.program = nullptr;
-        result.machine = nullptr;
+    auto cached = memCache_.lookup(key);
+    if (cached && verify &&
+        !ProgramVerifier(*epoch->machine)
+             .verify(record->circuit, *cached)
+             .ok())
+        cached = nullptr;
+    if (cached) {
+        source = CacheSource::Memory;
+    } else if ((cached = loadVerified(
+                    key, record->circuit, *epoch->machine,
+                    verify || options_.verifyOnLoad, verifiedOnLoad,
+                    healedEntry))) {
+        memCache_.insert(key, cached);
+        source = CacheSource::Disk;
+    }
+
+    if (cached) {
+        result.ok = true;
+        result.cacheHit = true;
+        result.program = std::move(cached);
+        result.machine = epoch->machine;
+    } else if (service::compileOnWorker(
+                   [&] { return epoch->machine; }, record->circuit,
+                   record->options, pool_, result)) {
+        memCache_.insert(key, result.program);
+        disk_.store(key, *result.program);
     }
     result.seconds = secondsSince(start);
 
@@ -374,7 +311,7 @@ CompileDaemon::finishJob(const std::shared_ptr<JobRecord> &record)
         --it->second.inFlight;
     }
     doneOrder_.push_back(record->id);
-    while (doneOrder_.size() > options_.jobHistory) {
+    while (doneOrder_.size() > kJobHistory) {
         jobs_.erase(doneOrder_.front());
         doneOrder_.pop_front();
     }

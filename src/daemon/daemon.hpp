@@ -3,9 +3,10 @@
  * The always-on compile daemon core (transport-agnostic).
  *
  * naqcd wraps this class in a Unix-socket server; tests drive it
- * in-process. It turns the per-process CompileService library into a
- * long-running server with the three production properties the
- * paper's daily-recompilation story needs:
+ * in-process. Jobs compile through service::compileOnWorker, which
+ * owns the result and cacheability rules; this class adds the
+ * long-running server's three production properties the paper's
+ * daily-recompilation story needs:
  *
  *  1. **Sharded submission queue** — admitted jobs land in a
  *     per-tenant-sharded, priority-laned queue (submission_queue.hpp)
@@ -62,7 +63,6 @@ struct DaemonOptions
     std::string cacheDir;                 ///< empty = no persistence
     std::uint64_t tenantQuota = 64; ///< max in-flight per tenant; 0 off
     int warmTopK = 32;      ///< hot fingerprints recompiled on rollover
-    std::size_t jobHistory = 65536; ///< completed records retained
 
     /**
      * Run the translation validator over every disk-cache entry

@@ -39,18 +39,24 @@
 
 namespace qc {
 
+/** Default refinement round trips (SabreOptions::iterations). */
+inline constexpr int kDefaultSabreIterations = 3;
+
+/** Default lookahead window in CNOTs (SabreOptions::lookahead). */
+inline constexpr int kDefaultSabreLookahead = 20;
+
 /** SABRE refinement knobs. */
 struct SabreOptions
 {
     /** Forward+backward round trips over the circuit (>= 0). */
-    int iterations = 3;
+    int iterations = kDefaultSabreIterations;
 
     /**
      * Size of the lookahead window: how many pending CNOTs beyond the
      * front layer contribute to a SWAP's score (>= 0; 0 = front layer
      * only).
      */
-    int lookahead = 20;
+    int lookahead = kDefaultSabreLookahead;
 
     /** Weight of the (normalized) lookahead term in the SWAP score. */
     double lookaheadWeight = 0.5;

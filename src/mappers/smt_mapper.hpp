@@ -44,10 +44,10 @@ struct SmtMapperOptions
     RoutingPolicy policy = RoutingPolicy::OneBendPath;
 
     /** Eq. 12 readout weight omega (R-SMT* only). */
-    double readoutWeight = 0.5;
+    double readoutWeight = kDefaultReadoutWeight;
 
     /** Z3 budget; the best model found so far is used on timeout. */
-    unsigned timeoutMs = 60'000;
+    unsigned timeoutMs = kDefaultSmtTimeoutMs;
 
     /**
      * Encode scheduling/routing jointly with placement (the full

@@ -7,28 +7,13 @@
 #include <utility>
 
 #include "service/fingerprints.hpp"
-#include "service/portfolio_executor.hpp"
 #include "support/logging.hpp"
+#include "support/stats.hpp"
 
 namespace qc::service {
 
-namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-} // namespace
-
 CompileService::CompileService(ServiceOptions options)
-    : options_(options),
-      machines_(options.machinePoolCapacity),
-      cache_(options.cacheCapacity, options.cacheByteCapacity),
-      pool_(options.threads)
+    : cache_(options.cacheCapacity), pool_(options.threads)
 {
 }
 
@@ -60,78 +45,21 @@ CompileService::runJob(const CompileRequest &request)
     key.calibration = machineKey(request.topo, request.cal);
     key.options = fingerprintOptions(request.options);
 
-    try {
-        if (auto cached = cache_.lookup(key)) {
-            result.ok = true;
-            result.cacheHit = true;
-            result.program = std::move(cached);
-            // Only attach a snapshot that's still pooled: a cache
-            // hit must never pay for a Machine rebuild.
-            result.machine = machines_.tryAcquire(key.calibration);
-            result.seconds = secondsSince(start);
-            return result;
-        }
-
-        result.machine = machines_.acquire(key.calibration, request.topo,
-                                           request.cal);
-        PipelineResult compiled;
-        if (request.options.portfolio.enabled) {
-            // Race the enabled bundles on this job's queue slot. The
-            // pool executor borrows only idle workers (help-while-wait,
-            // bounded by portfolio.maxWorkers), so a portfolio job can
-            // never oversubscribe or wedge the pool.
-            PortfolioPass pass(result.machine, request.options);
-            PoolPortfolioExecutor exec(
-                pool_, request.options.portfolio.maxWorkers);
-            PortfolioResult raced = pass.run(request.circuit, &exec);
-            if (raced.winnerIndex >= 0)
-                result.winner = raced
-                                    .candidates[static_cast<std::size_t>(
-                                        raced.winnerIndex)]
-                                    .name;
-            result.portfolio = std::move(raced.candidates);
-            compiled = std::move(raced.best);
-        } else {
-            Pipeline pipeline =
-                standardPipeline(result.machine, request.options);
-            compiled = pipeline.run(request.circuit);
-        }
-
-        result.status = compiled.status;
-        result.failedStage = compiled.failedStage;
-        if (compiled.hasProgram) {
-            // The program keeps its own trace copy: it may outlive
-            // this result through the cache.
-            result.stageTraces = compiled.program.stageTraces;
-            auto program = std::make_shared<const CompiledProgram>(
-                std::move(compiled.program));
-            // Degraded solver fallbacks are usable but not worth
-            // pinning in the cache.
-            if (compiled.status.ok())
-                cache_.insert(key, program);
-            result.program = std::move(program);
-            result.ok = true;
-        } else {
-            result.ok = false;
-            result.stageTraces =
-                std::move(compiled.program.stageTraces);
-            result.program = nullptr;
-            result.machine = nullptr;
-        }
-    } catch (const std::exception &e) {
-        // bad_alloc, queue shutdown, ... — a failing job must never
-        // poison the batch or escape the future contract. (Compile
-        // failures themselves already surface as status values.)
-        result.ok = false;
-        result.status = CompileStatus::internalError(e.what());
-        result.program = nullptr;
-        result.machine = nullptr;
-    } catch (...) {
-        result.ok = false;
-        result.status = CompileStatus::internalError(
-            "unknown exception during compilation");
-        result.program = nullptr;
-        result.machine = nullptr;
+    if (auto cached = cache_.lookup(key)) {
+        result.ok = true;
+        result.cacheHit = true;
+        result.program = std::move(cached);
+        // Only attach a snapshot that's still pooled: a cache hit
+        // must never pay for a Machine rebuild.
+        result.machine = machines_.tryAcquire(key.calibration);
+    } else if (compileOnWorker(
+                   [&] {
+                       return machines_.acquire(key.calibration,
+                                                request.topo,
+                                                request.cal);
+                   },
+                   request.circuit, request.options, pool_, result)) {
+        cache_.insert(key, result.program);
     }
     result.seconds = secondsSince(start);
     return result;

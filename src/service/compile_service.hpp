@@ -14,10 +14,11 @@
  *   - a CompileCache returns previously compiled results for exact
  *     (circuit, calibration, options) repeats.
  *
- * Jobs run the staged pass pipeline (core/pipeline.hpp): failures
- * come back as structured CompileStatus values with the failing
- * stage recorded, and every fresh compile carries per-stage wall
- * times that ServiceReport aggregates into a batch-wide breakdown.
+ * Jobs compile through compileOnWorker, the job runner naqcd shares:
+ * failures come back as structured CompileStatus values with the
+ * failing stage recorded, and every fresh compile carries per-stage
+ * wall times that ServiceReport aggregates into a batch-wide
+ * breakdown.
  *
  * Every mapper is deterministic, so a batch compiled with N workers
  * is bit-identical to the same batch compiled serially — the
@@ -39,17 +40,19 @@
 #include "machine/calibration_model.hpp"
 #include "service/compile_cache.hpp"
 #include "service/machine_pool.hpp"
+#include "service/portfolio_executor.hpp"
 #include "service/thread_pool.hpp"
 
 namespace qc::service {
 
-/** Service-wide configuration. */
+/**
+ * Service-wide configuration. The machine pool keeps MachinePool's
+ * default 64 LRU snapshots; the compile cache has no byte cap.
+ */
 struct ServiceOptions
 {
     int threads = 0;                ///< workers; <= 0 = hardware
     std::size_t cacheCapacity = 4096; ///< compile-cache entries; 0 off
-    std::size_t cacheByteCapacity = 0; ///< approx cache bytes; 0 = unbounded
-    std::size_t machinePoolCapacity = 64; ///< LRU snapshots; 0 = unbounded
 };
 
 /** One compilation job: a program against one machine-day. */
@@ -122,6 +125,60 @@ struct CompileResult
     double seconds = 0.0;
 };
 
+/**
+ * The per-job compile every service and daemon worker runs: take the
+ * machine snapshot from `snapshot()`, compile with compileJob (a
+ * race's candidates borrow idle `pool` workers) and fill `result`'s
+ * status, failedStage, stageTraces, portfolio, winner, program and
+ * machine. Any exception, `snapshot()`'s included, becomes an
+ * internalError result and never escapes the worker. Returns true
+ * when the result may be cached: a program with an ok status
+ * (degraded fallbacks are usable but not worth pinning).
+ */
+template <class Snapshot>
+bool
+compileOnWorker(Snapshot &&snapshot, const Circuit &circuit,
+                const CompilerOptions &options, ThreadPool &pool,
+                CompileResult &result)
+{
+    try {
+        result.machine = snapshot();
+        PoolPortfolioExecutor exec(pool, options.portfolio.maxWorkers);
+        PortfolioResult job =
+            compileJob(result.machine, circuit, options, &exec);
+        PipelineResult &compiled = job.best;
+        result.status = std::move(compiled.status);
+        result.failedStage = std::move(compiled.failedStage);
+        if (job.winnerIndex >= 0)
+            result.winner =
+                job.candidates[static_cast<std::size_t>(job.winnerIndex)]
+                    .name;
+        result.portfolio = std::move(job.candidates);
+        if (compiled.hasProgram) {
+            // The program keeps its own trace copy: it may outlive
+            // this result through a cache.
+            result.stageTraces = compiled.program.stageTraces;
+            result.program = std::make_shared<const CompiledProgram>(
+                std::move(compiled.program));
+            result.ok = true;
+            return result.status.ok();
+        }
+        result.stageTraces = std::move(compiled.program.stageTraces);
+    } catch (const std::exception &e) {
+        // bad_alloc, a calibration that does not fit the topology,
+        // queue shutdown, ... (compile failures themselves already
+        // surface as status values).
+        result.status = CompileStatus::internalError(e.what());
+    } catch (...) {
+        result.status = CompileStatus::internalError(
+            "unknown exception during compilation");
+    }
+    result.ok = false;
+    result.program = nullptr;
+    result.machine = nullptr;
+    return false;
+}
+
 /** Per-stage aggregate across a batch. */
 struct StageSummary
 {
@@ -158,10 +215,6 @@ struct ServiceReport
 
     double wallSeconds = 0.0;    ///< batch wall-clock time
     double jobSeconds = 0.0;     ///< sum of per-job times
-    double meanJobSeconds() const
-    {
-        return jobs == 0 ? 0.0 : jobSeconds / jobs;
-    }
     /** Jobs per wall-clock second. */
     double throughput() const
     {
@@ -226,10 +279,6 @@ class CompileService
                int firstDay, int numDays,
                const CompilerOptions &options);
 
-    MachinePoolStats machinePoolStats() const
-    {
-        return machines_.stats();
-    }
     CompileCacheStats cacheStats() const { return cache_.stats(); }
 
     /** Report over arbitrary results (adds current pool/cache stats). */
@@ -239,7 +288,6 @@ class CompileService
   private:
     CompileResult runJob(const CompileRequest &request);
 
-    ServiceOptions options_;
     MachinePool machines_;
     CompileCache cache_;
     ThreadPool pool_; ///< last member: workers die before state above

@@ -19,13 +19,14 @@
 
 #include "ir/circuit.hpp"
 #include "machine/machine.hpp"
+#include "solver/objective.hpp"
 
 namespace qc {
 
 /** Branch-and-bound controls. */
 struct BnbOptions
 {
-    double readoutWeight = 0.5; ///< Eq. 12's omega
+    double readoutWeight = kDefaultReadoutWeight; ///< Eq. 12's omega
     std::int64_t nodeLimit = 50'000'000; ///< search-node safety cap
 };
 

@@ -20,6 +20,9 @@
 
 namespace qc {
 
+/** Default Eq. 12 readout weight omega, for every layer that takes one. */
+inline constexpr double kDefaultReadoutWeight = 0.5;
+
 /** Fixed-point scale for log-reliability integers fed to Z3. */
 inline constexpr double kLogScale = 1e5;
 

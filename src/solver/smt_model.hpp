@@ -17,6 +17,7 @@
 #include "ir/circuit.hpp"
 #include "machine/machine.hpp"
 #include "route/routing.hpp"
+#include "solver/objective.hpp"
 #include "support/cancel.hpp"
 
 namespace qc {
@@ -26,6 +27,9 @@ enum class SmtObjectiveKind {
     Duration,    ///< minimize program makespan (T-SMT, T-SMT*)
     Reliability, ///< maximize Eq. 12 (R-SMT*)
 };
+
+/** Default Z3 budget of one SMT solve, in milliseconds. */
+inline constexpr unsigned kDefaultSmtTimeoutMs = 60'000;
 
 /** Configuration of one SMT solve. */
 struct SmtModelOptions
@@ -44,10 +48,10 @@ struct SmtModelOptions
     RoutingPolicy policy = RoutingPolicy::OneBendPath;
 
     /** Eq. 12's readout weight omega (Reliability objective only). */
-    double readoutWeight = 0.5;
+    double readoutWeight = kDefaultReadoutWeight;
 
     /** Z3 wall-clock budget; best-found model is used on timeout. */
-    unsigned timeoutMs = 60'000;
+    unsigned timeoutMs = kDefaultSmtTimeoutMs;
 
     /**
      * true = encode start times, routing overlap and coherence jointly

@@ -7,9 +7,19 @@
 #ifndef QC_SUPPORT_STATS_HPP
 #define QC_SUPPORT_STATS_HPP
 
+#include <chrono>
 #include <vector>
 
 namespace qc {
+
+/** Wall-clock seconds since `start` on the steady clock. */
+inline double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
 
 /** Arithmetic mean; 0 for an empty input. */
 double mean(const std::vector<double> &xs);

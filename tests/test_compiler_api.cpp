@@ -4,6 +4,9 @@
  * MapperKind, OpenQASM emission, and name parsing.
  */
 
+#include <memory>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "ir/qasm.hpp"
@@ -134,6 +137,23 @@ TEST(NoiseAdaptiveCompiler, RejectsOversizedProgram)
     NoiseAdaptiveCompiler compiler(small, model.forDay(0), opts);
     Benchmark b = benchmarkByName("BV6");
     EXPECT_THROW(compiler.compile(b.circuit), FatalError);
+}
+
+TEST(NoiseAdaptiveCompiler, RejectsPortfolioOptions)
+{
+    // The facade compiles options.mapper alone; a race it would
+    // silently skip is an error instead.
+    CompilerOptions opts;
+    opts.portfolio.enabled = true;
+    auto machine = std::make_shared<const Machine>(test::day0());
+    try {
+        NoiseAdaptiveCompiler compiler(machine, opts);
+        FAIL() << "portfolio options were accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("options.portfolio"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(NoiseAdaptiveCompiler, WorksOnCustomTopology)

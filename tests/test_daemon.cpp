@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -589,6 +590,82 @@ TEST(Daemon, InFlightJobsFinishOnOldEpochDuringRollover)
     EXPECT_TRUE(snap.epochId == 1 || snap.epochId == 2)
         << snap.epochId;
     EXPECT_EQ(d.stats().rejected, 0u);
+}
+
+// ---------------------------------------------------------------- //
+// One job runner: the daemon and the batch service agree
+// ---------------------------------------------------------------- //
+
+/** One job through a CompileService and a CompileDaemon, ibmq16 day 0. */
+std::pair<service::CompileResult, service::CompileResult>
+serviceAndDaemon(const Circuit &circuit, const CompilerOptions &options)
+{
+    const Topology ibmq16 = GridTopology::ibmq16();
+    const Calibration cal =
+        CalibrationModel(ibmq16, test::kSeed).forDay(0);
+
+    service::CompileRequest req;
+    req.circuit = circuit;
+    req.topo = ibmq16;
+    req.cal = cal;
+    req.options = options;
+    service::ServiceOptions sopts;
+    sopts.threads = 2;
+    service::CompileService svc(sopts);
+    service::CompileResult fromService = svc.submit(req).get();
+
+    CompileDaemon d(ibmq16, cal, fastOptions());
+    CompileDaemon::SubmitOutcome out =
+        d.submit("t0", Lane::Normal, circuit, options, "agree");
+    EXPECT_TRUE(out.accepted) << out.reason;
+    JobSnapshot snap;
+    EXPECT_TRUE(d.wait(out.id, snap));
+    return {fromService, snap.result};
+}
+
+TEST(Daemon, AgreesWithCompileServiceOnAHeuristicRace)
+{
+    CompilerOptions options;
+    options.portfolio.enabled = true;
+    options.portfolio.bundles = {MapperKind::Qiskit, MapperKind::GreedyE,
+                                 MapperKind::Sabre};
+    const Circuit circuit = benchmarkByName("Toffoli").circuit;
+    const auto [svc, dmn] = serviceAndDaemon(circuit, options);
+
+    ASSERT_TRUE(svc.ok) << svc.error();
+    ASSERT_TRUE(dmn.ok) << dmn.error();
+    EXPECT_FALSE(svc.winner.empty());
+    EXPECT_EQ(dmn.winner, svc.winner);
+    ASSERT_EQ(svc.portfolio.size(), 3u);
+    ASSERT_EQ(dmn.portfolio.size(), svc.portfolio.size());
+    for (std::size_t i = 0; i < svc.portfolio.size(); ++i) {
+        EXPECT_EQ(dmn.portfolio[i].name, svc.portfolio[i].name);
+        EXPECT_EQ(dmn.portfolio[i].status.code,
+                  svc.portfolio[i].status.code);
+        EXPECT_EQ(dmn.portfolio[i].eligible, svc.portfolio[i].eligible);
+    }
+    const int n_clbits = circuit.numClbits();
+    EXPECT_EQ(emitQasm(dmn.program->hwCircuit(n_clbits)),
+              emitQasm(svc.program->hwCircuit(n_clbits)));
+}
+
+TEST(Daemon, AgreesWithCompileServiceOnAnInfeasibleJob)
+{
+    Circuit big("big", 17); // 17 qubits on the 16-qubit ibmq16
+    big.h(16);
+    big.measure(16, 0);
+    const auto [svc, dmn] = serviceAndDaemon(big, greedyOptions());
+
+    EXPECT_FALSE(svc.ok);
+    EXPECT_FALSE(dmn.ok);
+    EXPECT_EQ(svc.status.code, CompileStatusCode::Infeasible);
+    EXPECT_EQ(dmn.status.code, svc.status.code);
+    EXPECT_FALSE(svc.failedStage.empty());
+    EXPECT_EQ(dmn.failedStage, svc.failedStage);
+    EXPECT_EQ(svc.program, nullptr);
+    EXPECT_EQ(dmn.program, nullptr);
+    EXPECT_EQ(svc.machine, nullptr);
+    EXPECT_EQ(dmn.machine, nullptr);
 }
 
 } // namespace

@@ -15,8 +15,8 @@
  *   naqc-client --socket PATH reload (--day D | --calibration FILE)
  *   naqc-client --socket PATH drain | shutdown | ping
  *
- * Exit codes: 0 ok, 1 transport/protocol error, 3 rejected submit
- * (over-quota or draining daemon).
+ * Exit codes: 0 ok, 1 transport/protocol error, 2 usage error, 3
+ * rejected submit (over-quota or draining daemon).
  *
  * `submit --wait` prints the compiled QASM to stdout and the result
  * line to stderr, mirroring one-shot `naqc --qasm ... --out -`.
@@ -30,6 +30,7 @@
 
 #include "core/option_table.hpp"
 #include "daemon/net.hpp"
+#include "support/cli.hpp"
 #include "support/logging.hpp"
 
 using namespace qc;
@@ -37,6 +38,7 @@ using namespace qc;
 namespace {
 
 constexpr int kExitError = 1;
+constexpr int kExitUsage = 2;
 constexpr int kExitRejected = 3;
 
 struct ClientCli
@@ -71,7 +73,8 @@ printUsage(std::ostream &os)
           "  drain        stop admissions, wait for idle\n"
           "  shutdown     drain, then stop the daemon\n"
           "  ping         liveness check\n"
-          "exit codes: 0 ok, 1 error, 3 rejected submit\n"
+          "exit codes: 0 ok, 1 error, 2 usage error, 3 rejected "
+          "submit\n"
           "compile options (validated by the daemon):\n"
        << compilerOptionUsage();
 }
@@ -82,7 +85,8 @@ parseArgs(int argc, char **argv)
     ClientCli cli;
     auto need = [&](int &i, const char *flag) -> std::string {
         if (i + 1 >= argc)
-            QC_FATAL("missing value for ", flag);
+            throw cli::UsageError(std::string("missing value for ") +
+                                  flag);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -112,7 +116,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             cli.help = true;
         } else if (!arg.empty() && arg[0] == '-') {
-            QC_FATAL("unknown flag '", arg, "' (try --help)");
+            throw cli::UsageError("unknown flag '" + arg +
+                                  "' (try --help)");
         } else if (cli.command.empty()) {
             cli.command = arg;
         } else {
@@ -210,7 +215,7 @@ run(const ClientCli &cli)
             payload = readFileOrStdin(cli.qasmPath);
             req << " qasm=inline";
         } else {
-            QC_FATAL("submit needs --bench or --qasm");
+            throw cli::UsageError("submit needs --bench or --qasm");
         }
         if (!cli.tenant.empty())
             req << " tenant=" << cli.tenant;
@@ -231,7 +236,7 @@ run(const ClientCli &cli)
 
     if (cli.command == "status" || cli.command == "wait") {
         if (cli.positional.empty())
-            QC_FATAL(cli.command, " needs a job ID");
+            throw cli::UsageError(cli.command + " needs a job ID");
         if (!ch.writeLine(cli.command +
                           " id=" + cli.positional[0])) {
             std::cerr << "naqc-client: write failed\n";
@@ -260,7 +265,8 @@ run(const ClientCli &cli)
         } else if (!cli.day.empty()) {
             req << " day=" << cli.day;
         } else {
-            QC_FATAL("reload needs --day or --calibration");
+            throw cli::UsageError(
+                "reload needs --day or --calibration");
         }
         if (!ch.writeLine(req.str()) ||
             (!payload.empty() && !sendPayload(ch, payload))) {
@@ -279,7 +285,8 @@ run(const ClientCli &cli)
         return finish(ch, false, std::cout);
     }
 
-    QC_FATAL("unknown command '", cli.command, "' (try --help)");
+    throw cli::UsageError("unknown command '" + cli.command +
+                          "' (try --help)");
 }
 
 } // namespace
@@ -287,10 +294,18 @@ run(const ClientCli &cli)
 int
 main(int argc, char **argv)
 {
-    ClientCli cli = parseArgs(argc, argv);
-    if (cli.help || cli.command.empty()) {
-        printUsage(cli.help ? std::cout : std::cerr);
-        return cli.help ? 0 : kExitError;
+    try {
+        ClientCli cli = parseArgs(argc, argv);
+        if (cli.help || cli.command.empty()) {
+            printUsage(cli.help ? std::cout : std::cerr);
+            return cli.help ? 0 : kExitUsage;
+        }
+        return run(cli);
+    } catch (const cli::UsageError &e) {
+        std::cerr << "naqc-client: " << e.what() << "\n";
+        return e.exitCode();
+    } catch (const FatalError &e) {
+        std::cerr << "naqc-client: " << e.what() << "\n";
+        return kExitError;
     }
-    return run(cli);
 }

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -479,20 +480,19 @@ runCli(const CliOptions &opts)
 
     const CompilerOptions &copts = opts.compiler;
     auto machine = std::make_shared<const Machine>(topo, cal);
-    PipelineResult result;
+    // A race borrows hardware-concurrency workers; a single bundle
+    // runs on this thread and starts none.
+    std::optional<service::ThreadPool> pool;
+    std::optional<service::PoolPortfolioExecutor> exec;
     if (copts.portfolio.enabled) {
-        PortfolioPass pass(machine, copts);
-        service::ThreadPool pool; // hardware concurrency
-        service::PoolPortfolioExecutor exec(pool,
-                                            copts.portfolio.maxWorkers);
-        PortfolioResult raced = pass.run(prog, &exec);
-        if (opts.trace || opts.report)
-            printPortfolioTable(std::cerr, raced);
-        result = std::move(raced.best);
-    } else {
-        Pipeline pipeline = standardPipeline(machine, copts);
-        result = pipeline.run(prog);
+        pool.emplace();
+        exec.emplace(*pool, copts.portfolio.maxWorkers);
     }
+    PortfolioResult job =
+        compileJob(machine, prog, copts, exec ? &*exec : nullptr);
+    if (copts.portfolio.enabled && (opts.trace || opts.report))
+        printPortfolioTable(std::cerr, job);
+    PipelineResult &result = job.best;
 
     if (opts.trace)
         printStageTrace(std::cerr, result.program.stageTraces);

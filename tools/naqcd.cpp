@@ -25,6 +25,8 @@
  *             back the same way.
  *   status id=N          non-blocking job state
  *   wait id=N            block until the job is done, return result
+ *   -- `id`, `day` and `wait` (0|1) are strict integers: a malformed
+ *      value is an `err` naming the key.
  *   stats                counters (one key=value line + tenant block)
  *   reload day=D|cal=inline [source=TEXT]   zero-downtime rollover
  *   drain                stop admitting, wait until idle
@@ -58,6 +60,7 @@
 #include "ir/qasm.hpp"
 #include "machine/calibration_io.hpp"
 #include "machine/calibration_model.hpp"
+#include "support/cli.hpp"
 #include "support/logging.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -121,7 +124,8 @@ parseArgs(int argc, char **argv)
     DaemonCli cli;
     auto need = [&](int &i, const char *flag) -> std::string {
         if (i + 1 >= argc)
-            QC_FATAL("missing value for ", flag);
+            throw cli::UsageError(std::string("missing value for ") +
+                                  flag);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -133,30 +137,32 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--calibration") {
             cli.calibrationPath = need(i, "--calibration");
         } else if (arg == "--seed") {
-            cli.seed = std::stoull(need(i, "--seed"));
+            cli.seed = cli::parseUint64Flag(arg, need(i, "--seed"));
         } else if (arg == "--day") {
-            cli.day = std::stoi(need(i, "--day"));
+            cli.day = cli::parseIntFlag(arg, need(i, "--day"));
         } else if (arg == "--threads") {
-            cli.opts.threads = std::stoi(need(i, "--threads"));
+            cli.opts.threads = cli::parseIntFlag(arg, need(i, "--threads"));
         } else if (arg == "--shards") {
-            cli.opts.shards = std::stoi(need(i, "--shards"));
+            cli.opts.shards = cli::parseIntFlag(arg, need(i, "--shards"));
         } else if (arg == "--cache-dir") {
             cli.opts.cacheDir = need(i, "--cache-dir");
         } else if (arg == "--cache-capacity") {
             cli.opts.cacheCapacity =
-                std::stoull(need(i, "--cache-capacity"));
+                cli::parseUint64Flag(arg, need(i, "--cache-capacity"));
         } else if (arg == "--cache-bytes") {
             cli.opts.cacheByteCapacity =
-                std::stoull(need(i, "--cache-bytes"));
+                cli::parseUint64Flag(arg, need(i, "--cache-bytes"));
         } else if (arg == "--tenant-quota") {
             cli.opts.tenantQuota =
-                std::stoull(need(i, "--tenant-quota"));
+                cli::parseUint64Flag(arg, need(i, "--tenant-quota"));
         } else if (arg == "--warm-top") {
-            cli.opts.warmTopK = std::stoi(need(i, "--warm-top"));
+            cli.opts.warmTopK =
+                cli::parseIntFlag(arg, need(i, "--warm-top"));
         } else if (arg == "--help" || arg == "-h") {
             cli.help = true;
         } else {
-            QC_FATAL("unknown flag '", arg, "' (try --help)");
+            throw cli::UsageError("unknown flag '" + arg +
+                                  "' (try --help)");
         }
     }
     return cli;
@@ -309,7 +315,9 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
     static const std::set<std::string> kRequestKeys = {
         "bench", "qasm", "tenant", "priority", "tag", "wait"};
     CompilerOptions copts;
+    bool wait = false;
     try {
+        wait = cli::parseIntFlag("wait", req.get("wait", "0"), 0, 1) != 0;
         for (const auto &[key, value] : req.args) {
             if (kRequestKeys.count(key) == 0)
                 applyCompilerOption(copts, key, value);
@@ -328,7 +336,7 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
         ch.writeLine("err reason=" + tokenSafe(out.reason));
         return;
     }
-    if (req.getInt("wait", 0) == 0) {
+    if (!wait) {
         ch.writeLine("ok id=" + std::to_string(out.id));
         return;
     }
@@ -361,10 +369,10 @@ handleReload(Server &srv, daemon::LineChannel &ch,
                 return;
             }
             cal = loadCalibration(text, srv.topo, "reload");
-            day = static_cast<int>(req.getInt("day", 0));
+            day = cli::parseIntFlag("day", req.get("day", "0"));
             source = req.get("source", "reload-inline");
         } else if (req.has("day")) {
-            day = static_cast<int>(req.getInt("day", 0));
+            day = cli::parseIntFlag("day", req.get("day"));
             CalibrationModel model(srv.topo, srv.seed);
             cal = model.forDay(day);
             source = req.get(
@@ -400,8 +408,13 @@ serveConnection(Server &srv, int fd)
             handleSubmit(srv, ch, req);
         } else if (req.command == "status" ||
                    req.command == "wait") {
-            const auto id = static_cast<std::uint64_t>(
-                req.getInt("id", 0));
+            std::uint64_t id = 0;
+            try {
+                id = cli::parseUint64Flag("id", req.get("id"));
+            } catch (const std::exception &e) {
+                ch.writeLine("err reason=" + tokenSafe(e.what()));
+                continue;
+            }
             daemon::JobSnapshot snap;
             const bool known = req.command == "wait"
                                    ? srv.daemon->wait(id, snap)
@@ -525,10 +538,18 @@ runServer(const DaemonCli &cli)
 int
 main(int argc, char **argv)
 {
-    DaemonCli cli = parseArgs(argc, argv);
-    if (cli.help) {
-        printUsage(std::cout);
-        return 0;
+    try {
+        DaemonCli cli = parseArgs(argc, argv);
+        if (cli.help) {
+            printUsage(std::cout);
+            return 0;
+        }
+        return runServer(cli);
+    } catch (const cli::UsageError &e) {
+        std::cerr << "naqcd: " << e.what() << "\n";
+        return e.exitCode();
+    } catch (const FatalError &e) {
+        std::cerr << "naqcd: " << e.what() << "\n";
+        return 1;
     }
-    return runServer(cli);
 }
