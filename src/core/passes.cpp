@@ -123,7 +123,10 @@ class SmtPlacementPass : public PlacementPass
         SmtSolution sol = solveSmtMapping(ctx.mach(), prog, model_opts);
         ctx.solverOptimal = sol.optimal;
         ctx.solverStatus = sol.status;
-        ctx.addNote("z3: " + sol.status);
+        ctx.addNote("z3: " + sol.status +
+                    (sol.feasible
+                         ? ", objective " + std::to_string(sol.objective)
+                         : std::string()));
 
         if (sol.feasible) {
             ctx.layout = sol.layout;

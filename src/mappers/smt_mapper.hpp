@@ -11,8 +11,14 @@
  *  - R-SMT*  maximizes the weighted log-reliability (Eq. 12) under
  *            the one-bend-path policy.
  *
+ * Each solve starts from an exact branch-and-bound bound (the Eq. 12
+ * placement optimum for R-SMT*, a placement-aware makespan lower
+ * bound for T-SMT and T-SMT*), so a Table 2 solve is normally proven
+ * optimal with one Z3 query; see solver/smt_model.hpp.
+ *
  * This header holds their configuration; passes::smt()
- * (core/passes.hpp) runs the solve as a pipeline placement stage.
+ * (core/passes.hpp) runs the solve as a pipeline placement stage,
+ * whose note reports the proven objective.
  */
 
 #ifndef QC_MAPPERS_SMT_MAPPER_HPP

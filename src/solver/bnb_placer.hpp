@@ -1,23 +1,34 @@
 /**
  * @file
- * Exact branch-and-bound optimizer for the placement subproblem of the
- * reliability objective (Eq. 12).
+ * Exact branch-and-bound searches over injective placements that give
+ * the SMT solves their warm starts.
  *
- * Given the decomposition of the objective into per-qubit readout
- * terms and per-ordered-pair CNOT terms (with best-junction EC), the
- * placement problem is a quadratic assignment problem. This solver
- * explores placements depth-first with an admissible upper bound and
- * is used (a) to cross-validate the Z3 optimum in the test suite and
- * (b) as a fast exact placer in ablation benches.
+ * BnbPlacer optimizes the placement subproblem of the reliability
+ * objective (Eq. 12). Given the decomposition of the objective into
+ * per-qubit readout terms and per-ordered-pair CNOT terms (with
+ * best-junction EC), the placement problem is a quadratic assignment
+ * problem. The search explores placements depth-first with an
+ * admissible upper bound. R-SMT* pins its optimum, the ablation
+ * benches use it as a fast exact placer, and the test suite
+ * cross-validates it against brute force.
+ *
+ * MakespanBoundSearch minimizes the dependency-DAG critical path over
+ * placements, with each CNOT at the fastest route for its placed pair
+ * and every other gate at its fixed duration. That drops only route
+ * non-overlap (constraints 7-9) and the coherence windows (4-6) from
+ * the duration model, so its optimum is a lower bound on the makespan
+ * T-SMT and T-SMT* can reach, and often the makespan itself.
  */
 
 #ifndef QC_SOLVER_BNB_PLACER_HPP
 #define QC_SOLVER_BNB_PLACER_HPP
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ir/circuit.hpp"
+#include "ir/dag.hpp"
 #include "machine/machine.hpp"
 #include "solver/objective.hpp"
 
@@ -95,6 +106,95 @@ class BnbPlacer
 
     void dfs(int level, double value);
     double bound(int level) const;
+};
+
+/**
+ * Work budget of one MakespanBoundSearch, in gate visits (one bound
+ * evaluation visits every gate once). Deterministic, so a search that
+ * completes on one machine completes on every machine; it caps a
+ * search at a few tens of milliseconds, the order of the Z3 model
+ * build it precedes.
+ */
+inline constexpr std::int64_t kMakespanBoundWork = 1 << 24;
+
+/** Result of a makespan lower-bound search. */
+struct MakespanBoundResult
+{
+    /** Best placement found: a relaxation argmin when optimal. */
+    std::vector<HwQubit> layout;
+    /**
+     * Valid lower bound on the relaxed (hence the full) makespan: the
+     * relaxation optimum when optimal, else the bound of the empty
+     * placement (every CNOT at the fastest pair of the machine).
+     */
+    Timeslot lowerBound = 0;
+    bool optimal = false; ///< false iff the work budget tripped
+};
+
+/**
+ * Placement-aware makespan lower bound for the duration objective.
+ *
+ * Minimizes the critical path of the dependency DAG over injective
+ * placements of the program's CNOT-carrying qubits, where a CNOT with
+ * control on c and target on t takes cnotDuration[c * numHw + t] and
+ * every other gate takes its fixed duration. A partial placement is
+ * bounded by giving each CNOT
+ *  - its exact pair duration when both qubits are placed,
+ *  - the fastest pair to a free partner when one is placed,
+ *  - the fastest pair of the machine when neither is,
+ * which never overestimates any completion. Children are tried in
+ * increasing bound order and pruned against the incumbent; the search
+ * allocates nothing after solve() sizes its buffers.
+ */
+class MakespanBoundSearch
+{
+  public:
+    /**
+     * @param cnotDuration row-major numHw x numHw table of the fastest
+     *        route duration per ordered (control, target) pair; the
+     *        diagonal is ignored.
+     */
+    MakespanBoundSearch(const Circuit &prog, int numHw,
+                        std::vector<Timeslot> cnotDuration,
+                        Timeslot oneQubitDuration,
+                        Timeslot readoutDuration);
+
+    MakespanBoundResult solve();
+
+  private:
+    /** How one gate is timed: a CNOT's qubits, or a fixed duration. */
+    struct GateTiming
+    {
+        ProgQubit control = -1; ///< -1 for a non-CNOT gate
+        ProgQubit target = -1;
+        Timeslot fixed = 0;
+    };
+
+    Timeslot cnotBound(int q0, int q1) const;
+    Timeslot bound(Timeslot cutoff);
+    void recordLeaf(Timeslot value);
+    void dfs(int level);
+
+    int numProg_;
+    int numHw_;
+    DependencyDag dag_;
+    std::vector<GateTiming> gates_;
+    std::vector<Timeslot> dur_;      ///< cnotDuration table
+    std::vector<HwQubit> fromOrder_; ///< per c: partners t by dur(c, t)
+    std::vector<HwQubit> toOrder_;   ///< per t: partners c by dur(c, t)
+    Timeslot globalMin_ = 0;
+    std::vector<ProgQubit> order_;   ///< branched (CNOT) qubits
+
+    // Search state, sized once by solve().
+    std::vector<HwQubit> assign_;
+    std::vector<char> used_;
+    std::vector<Timeslot> finish_;
+    std::vector<std::pair<Timeslot, HwQubit>> cands_; ///< per level
+    std::vector<HwQubit> best_;
+    Timeslot bestValue_ = 0;
+    bool haveLeaf_ = false;
+    std::int64_t work_ = 0;
+    bool hitLimit_ = false;
 };
 
 } // namespace qc

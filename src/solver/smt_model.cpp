@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include <z3++.h>
@@ -131,7 +130,10 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
                                         [&ctx] { ctx.interrupt(); });
     auto set_budget = [&](unsigned cap_ms) {
         z3::params p(ctx);
-        p.set("timeout", std::min(remainingMs(deadline), cap_ms));
+        // Never 0: z3 reads a zero timeout as "no limit", which a
+        // fractional cap of a budget under 4 ms would otherwise be.
+        p.set("timeout",
+              std::max(1u, std::min(remainingMs(deadline), cap_ms)));
         solver.set(p);
     };
 
@@ -396,16 +398,17 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
 
     // ---- Optimization loop ------------------------------------------
     // Minimize `objective` with plain sat queries: a warm lower bound
-    // (branch-and-bound placement optimum for reliability; DAG critical
-    // path for duration) often proves optimality in one query, and a
-    // binary-search descent handles the rest.
+    // (a branch-and-bound placement optimum: Eq. 12 for reliability,
+    // the relaxed critical path for duration) usually proves
+    // optimality in one query, and a binary-search descent handles
+    // the rest.
     SmtSolution sol;
     std::optional<z3::model> best_model;
     std::int64_t best_value = 0;
     bool proven = false;
 
-    // Model building is cheap but the BnB warm start below is not:
-    // checkpoint before committing to it.
+    // Model building is cheap but the BnB warm starts below may not
+    // be: checkpoint before committing to them.
     if (isCancelled(options.cancel))
         return cancelled_solution();
 
@@ -437,20 +440,23 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
         lower_is_tight = br.optimal;
         bnb_layout = br.layout;
     } else {
-        // Critical path with the smallest possible per-gate durations.
-        Timeslot min_cnot = std::numeric_limits<Timeslot>::max();
+        // Minimum critical path over placements, each CNOT on the
+        // fastest route of its pair: the model without route
+        // non-overlap and coherence windows, so a valid lower bound.
+        std::vector<Timeslot> fastest(static_cast<size_t>(n_hw) * n_hw, 0);
         for (HwQubit a = 0; a < n_hw; ++a)
-            for (HwQubit b : topo.neighbors(a))
-                min_cnot = std::min(min_cnot, route_duration(a, b, 0));
-        std::vector<Timeslot> durations(prog.size());
-        for (size_t i = 0; i < prog.size(); ++i) {
-            const Gate &g = prog.gate(i);
-            durations[i] = g.op == Op::CNOT ? min_cnot
-                           : g.isMeasure()  ? cal.readoutDuration
-                                            : cal.oneQubitDuration;
-        }
-        lower = dag.criticalPath(durations);
-        lower_is_tight = false; // placement may not achieve it
+            for (HwQubit b = 0; b < n_hw; ++b)
+                if (a != b)
+                    fastest[static_cast<size_t>(a) * n_hw + b] =
+                        std::min(route_duration(a, b, 0),
+                                 route_duration(a, b, 1));
+        MakespanBoundSearch search(prog, n_hw, std::move(fastest),
+                                   cal.oneQubitDuration,
+                                   cal.readoutDuration);
+        MakespanBoundResult mb = search.solve();
+        lower = mb.lowerBound;
+        lower_is_tight = mb.optimal;
+        bnb_layout = mb.layout;
     }
 
     auto check_with_bound = [&](std::optional<std::int64_t> bound,
@@ -532,6 +538,7 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
                 sol.junctions[cv.gateIdx] = jv.is_true() ? 0 : 1;
             }
             sol.feasible = true;
+            sol.objective = best_value;
             sol.solveSeconds = std::chrono::duration<double>(
                                    Clock::now() - t0)
                                    .count();
@@ -616,6 +623,7 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
             sol.junctions[cv.gateIdx] = jv.is_true() ? 0 : 1;
         }
         sol.feasible = true;
+        sol.objective = best_value;
     }
 
     sol.solveSeconds =

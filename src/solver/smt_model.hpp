@@ -5,12 +5,27 @@
  * dependencies (3), duration/coherence constraints (4-6), routing
  * non-overlap for RR and 1BP policies (7-9), reliability tracking
  * (10-11), and the duration or weighted log-reliability objective
- * (Eq. 12), solved with z3::optimize (the nuZ engine the paper cites).
+ * (Eq. 12).
+ *
+ * The objective is minimized with plain sat queries under a bound.
+ * An exact branch-and-bound (solver/bnb_placer.hpp) first gives a
+ * lower bound and a placement that may attain it: the Eq. 12
+ * placement optimum for reliability, and for duration the smallest
+ * critical path over placements with each CNOT on the fastest route
+ * of its placed pair. The latter drops only route non-overlap and the
+ * coherence windows, so it is a valid bound. Z3 is then asked to meet
+ * the bound with the placement pinned, then with it free; a sat
+ * answer proves optimality in one query. Failing that, a binary
+ * search closes the gap between the bound and Z3's first model. The
+ * makespan search has a deterministic work cap (kMakespanBoundWork);
+ * past it the bound falls back to the critical path with every CNOT
+ * at the machine's fastest pair.
  */
 
 #ifndef QC_SOLVER_SMT_MODEL_HPP
 #define QC_SOLVER_SMT_MODEL_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -88,6 +103,13 @@ struct SmtSolution
     SmtFailure failure = SmtFailure::None; ///< structured no-model cause
     std::vector<HwQubit> layout; ///< program qubit -> hardware qubit
     std::vector<int> junctions;  ///< per gate: one-bend route index, -1
+    /**
+     * Objective value of the returned model (meaningful when
+     * feasible): the makespan in timeslots for Duration, the Eq. 12
+     * integer cost for Reliability. Proven minimal when optimal, so it
+     * does not depend on which of several optimal models Z3 returns.
+     */
+    std::int64_t objective = 0;
     double solveSeconds = 0.0;
     std::string status;          ///< Z3 result string for reports
 };

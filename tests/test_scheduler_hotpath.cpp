@@ -367,9 +367,9 @@ class BundleIdentity : public ::testing::TestWithParam<MapperKind>
  * The bundles route-select differently (fixed junctions, best
  * reliability/duration, Dijkstra) — each must produce the same
  * program whether its scheduling stage runs indexed or as the
- * reference scan. SMT placements are solved once and replayed
- * through a fixed placement pass so Z3 nondeterminism under
- * wall-clock budgets cannot fake a diff. The live-tracking bundles
+ * reference scan. SMT placements are solved once (each solve must
+ * prove optimality) and replayed through a fixed placement pass, so
+ * both schedulers see the same placement. The live-tracking bundles
  * (GreedyE*+track, Sabre) never run the list scheduler, so they are
  * not instantiated here.
  */
@@ -389,8 +389,9 @@ TEST_P(BundleIdentity, IndexedEqualsReferenceOnTable2Set)
         Pipeline indexed = standard;
         if (isSmtKind(kind)) {
             PipelineResult solved = standard.run(b.circuit);
-            if (!solved.hasProgram)
-                continue; // solver hard-timeout; covered elsewhere
+            ASSERT_TRUE(solved.hasProgram) << solved.status.message;
+            ASSERT_TRUE(solved.program.solverOptimal)
+                << solved.program.solverStatus;
             const RouteSelect select =
                 kind == MapperKind::RSmtStar
                     ? RouteSelect::BestReliability

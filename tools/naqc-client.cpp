@@ -124,6 +124,15 @@ parseArgs(int argc, char **argv)
             cli.positional.push_back(arg);
         }
     }
+    // status and wait take one job ID; every other command takes no
+    // operand, so a stray word (e.g. a --portfolio list after a space)
+    // is an error rather than silently dropped.
+    const size_t operands =
+        cli.command == "status" || cli.command == "wait" ? 1 : 0;
+    if (cli.positional.size() > operands)
+        throw cli::UsageError("unexpected argument '" +
+                              cli.positional[operands] + "' for " +
+                              cli.command + " (try --help)");
     return cli;
 }
 

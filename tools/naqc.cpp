@@ -218,7 +218,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             opts.help = true;
         } else {
-            QC_FATAL("unknown argument '", arg, "' (try --help)");
+            throw cli::UsageError("unknown argument '" + arg +
+                                  "' (try --help)");
         }
     }
     return opts;
