@@ -10,7 +10,7 @@
  *     what a user sweeping "which mapper should I use?" pays, and the
  *     oracle for the best single-bundle answer;
  *   - portfolio: one PortfolioPass race over the same bundles on a
- *     pool-backed executor, early-cancelling provable losers.
+ *     pool-backed executor.
  *
  * The quality gate (CI perf-smoke, tools/bench_check.py against
  * bench/baselines/portfolio.json) is `tie_or_beat_count`: the
@@ -55,7 +55,6 @@ struct InstanceRow
     std::string winner;      ///< portfolio winner's name
     double singlePsuccess = 0.0;
     double portfolioPsuccess = 0.0;
-    int cancelled = 0;       ///< candidates early-cancelled in the race
     double sequentialS = 0.0;
     double portfolioS = 0.0;
     bool tieOrBeat = false;
@@ -129,7 +128,6 @@ main(int argc, char **argv)
                     .name;
             row.portfolioPsuccess =
                 raced.best.program.predictedSuccess;
-            row.cancelled = raced.cancelledCount;
             row.tieOrBeat =
                 row.portfolioPsuccess >= row.singlePsuccess;
             rows.push_back(std::move(row));
@@ -139,7 +137,7 @@ main(int argc, char **argv)
     int tie_or_beat = 0;
     double seq_total = 0.0, race_total = 0.0;
     Table t({"Instance", "best single", "p", "portfolio winner", "p ",
-             "cancelled", "seq (s)", "race (s)", "verdict"});
+             "seq (s)", "race (s)", "verdict"});
     for (const InstanceRow &r : rows) {
         if (r.tieOrBeat)
             ++tie_or_beat;
@@ -147,7 +145,6 @@ main(int argc, char **argv)
         race_total += r.portfolioS;
         t.addRow({r.name, r.singleBest, Table::fmt(r.singlePsuccess),
                   r.winner, Table::fmt(r.portfolioPsuccess),
-                  Table::fmt(static_cast<long long>(r.cancelled)),
                   Table::fmt(r.sequentialS, 3),
                   Table::fmt(r.portfolioS, 3),
                   r.tieOrBeat ? (r.portfolioPsuccess >

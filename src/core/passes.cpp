@@ -85,8 +85,8 @@ class SabrePlacementPass : public PlacementPass
                 "program needs " + std::to_string(n_prog) +
                 " qubits but machine has " + std::to_string(n_hw));
 
-        SabrePlacementResult result = sabrePlacementDetailed(
-            ctx.mach(), prog, options_, ctx.cancel);
+        SabrePlacementResult result =
+            sabrePlacementDetailed(ctx.mach(), prog, options_);
         ctx.layout = std::move(result.layout);
 
         std::ostringstream oss;
@@ -118,9 +118,8 @@ class SmtPlacementPass : public PlacementPass
     CompileStatus run(CompileContext &ctx) const override
     {
         const Circuit &prog = ctx.circuit();
-        SmtModelOptions model_opts = smtModelOptionsFor(options_, prog);
-        model_opts.cancel = ctx.cancel;
-        SmtSolution sol = solveSmtMapping(ctx.mach(), prog, model_opts);
+        SmtSolution sol = solveSmtMapping(
+            ctx.mach(), prog, smtModelOptionsFor(options_, prog));
         ctx.solverOptimal = sol.optimal;
         ctx.solverStatus = sol.status;
         ctx.addNote("z3: " + sol.status +
@@ -133,16 +132,6 @@ class SmtPlacementPass : public PlacementPass
             ctx.junctions = sol.junctions;
             return CompileStatus::success();
         }
-
-        // Cancelled solves are not failures to paper over: no
-        // fallback program, no degraded flag — the caller raced this
-        // candidate and asked it to stop.
-        if (sol.failure == SmtFailure::Cancelled)
-            return CompileStatus::cancelled(
-                "SMT solve cancelled for " + prog.name() +
-                (ctx.cancel != nullptr && !ctx.cancel->reason().empty()
-                     ? ": " + ctx.cancel->reason()
-                     : std::string()));
 
         // No model at all (hard timeout / unsat): fall back to the
         // trivial placement so callers still get a runnable program,
@@ -163,9 +152,6 @@ class SmtPlacementPass : public PlacementPass
           case SmtFailure::Timeout:
           case SmtFailure::None:
             return CompileStatus::solverTimeout(std::move(msg));
-          case SmtFailure::Cancelled:
-            // Handled above, before the fallback was installed.
-            return CompileStatus::cancelled(std::move(msg));
         }
         QC_PANIC("unknown SMT failure kind");
     }
@@ -247,7 +233,7 @@ class ListSchedulingPass : public SchedulingPass
         // ListScheduler::run validates the layout itself; an invalid
         // placement surfaces as an infeasible status via the runner.
         ListScheduler scheduler(ctx.mach(), ctx.schedOptions);
-        ctx.schedule = scheduler.run(prog, ctx.layout, ctx.cancel);
+        ctx.schedule = scheduler.run(prog, ctx.layout);
         ctx.duration = ctx.schedule.makespan;
         ctx.swapCount = ctx.schedule.swapCount();
         ctx.addNote("makespan " + std::to_string(ctx.duration) + ", " +
@@ -271,8 +257,7 @@ class TrackingSchedulingPass : public SchedulingPass
     CompileStatus run(CompileContext &ctx) const override
     {
         TrackingRouter router(ctx.mach(), options_);
-        TrackingResult routed =
-            router.run(ctx.circuit(), ctx.layout, ctx.cancel);
+        TrackingResult routed = router.run(ctx.circuit(), ctx.layout);
         ctx.schedule = std::move(routed.schedule);
         ctx.duration = ctx.schedule.makespan;
         ctx.swapCount = routed.swapCount;

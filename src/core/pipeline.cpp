@@ -24,14 +24,13 @@ Pipeline::forMachine(std::shared_ptr<const Machine> machine)
 }
 
 PipelineResult
-Pipeline::run(const Circuit &prog, const CancelToken *cancel) const
+Pipeline::run(const Circuit &prog) const
 {
     const auto t_run = std::chrono::steady_clock::now();
 
     CompileContext ctx;
     ctx.prog = &prog;
     ctx.machine = machine_;
-    ctx.cancel = cancel;
 
     PipelineResult out;
     std::vector<StageTrace> traces;
@@ -41,15 +40,7 @@ Pipeline::run(const Circuit &prog, const CancelToken *cancel) const
         const auto t0 = std::chrono::steady_clock::now();
         CompileStatus status;
         try {
-            // Stage-boundary checkpoint; passes poll inside their own
-            // loops for finer grain.
-            throwIfCancelled(cancel, "cancelled between stages");
             status = pass->run(ctx);
-        } catch (const CancelledError &e) {
-            status = CompileStatus::cancelled(e.what());
-            // A cancelled run never keeps a fallback artifact: the
-            // caller raced it against rivals and wants it gone.
-            ctx.degraded = false;
         } catch (const FatalError &e) {
             status = CompileStatus::infeasible(e.what());
             ctx.degraded = false;

@@ -38,7 +38,6 @@
 #include "machine/machine.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/schedule.hpp"
-#include "support/cancel.hpp"
 #include "support/status.hpp"
 #include "verify/verifier.hpp"
 
@@ -67,15 +66,6 @@ struct CompileContext
 {
     const Circuit *prog = nullptr;
     std::shared_ptr<const Machine> machine;
-
-    /**
-     * Cooperative cancellation handle, null when the run is not
-     * cancellable. Passes forward it into their expensive inner loops
-     * (SMT solver ticks, SABRE iterations, scheduler steps); those
-     * unwind with CancelledError, which Pipeline::run maps to
-     * CompileStatusCode::Cancelled.
-     */
-    const CancelToken *cancel = nullptr;
 
     // --- placement artifacts ---------------------------------------
     std::vector<HwQubit> layout;   ///< program qubit -> hardware qubit
@@ -224,15 +214,8 @@ class Pipeline
      * Run every stage, never throwing for user-level failures:
      * infeasible inputs and solver timeouts come back as status
      * values with the traces of the stages that ran.
-     *
-     * A non-null `cancel` token makes the run cooperatively
-     * cancellable: once requestCancel fires, the run stops at the
-     * next stage boundary or in-stage checkpoint and returns a
-     * CompileStatusCode::Cancelled status with no program (a
-     * cancelled run never installs a degraded fallback).
      */
-    PipelineResult run(const Circuit &prog,
-                       const CancelToken *cancel = nullptr) const;
+    PipelineResult run(const Circuit &prog) const;
 
     /**
      * Throwing convenience: return the program, throwing FatalError

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <sstream>
 #include <thread>
 
+#include "daemon/protocol.hpp"
 #include "service/fingerprints.hpp"
 #include "support/fingerprint.hpp"
 #include "support/logging.hpp"
@@ -73,6 +75,32 @@ cacheSourceName(CacheSource src)
         return "disk";
     }
     return "?";
+}
+
+std::string
+describeResult(const JobSnapshot &snap)
+{
+    const service::CompileResult &r = snap.result;
+    std::ostringstream oss;
+    oss << "id=" << snap.id << " state=" << jobStateName(snap.state)
+        << " tenant=" << tokenSafe(snap.tenant)
+        << " lane=" << laneName(snap.lane) << " epoch=" << snap.epochId
+        << " cache=" << cacheSourceName(snap.cacheSource);
+    if (snap.state != JobState::Done)
+        return oss.str();
+    oss << " ok=" << (r.ok ? 1 : 0)
+        << " status=" << compileStatusCodeName(r.status.code);
+    if (r.ok && r.program) {
+        oss << " swaps=" << r.program->swapCount
+            << " duration=" << r.program->duration
+            << " psuccess=" << r.program->predictedSuccess;
+    }
+    if (!r.portfolio.empty())
+        oss << " winner=" << (r.winner.empty() ? "-" : tokenSafe(r.winner))
+            << " raced=" << r.portfolio.size();
+    if (!r.status.ok())
+        oss << " error=" << tokenSafe(r.error());
+    return oss.str();
 }
 
 struct CompileDaemon::JobRecord

@@ -107,6 +107,14 @@ struct JobSnapshot
     service::CompileResult result; ///< meaningful once Done
 };
 
+/**
+ * The `ok ...` status line naqcd answers for a job: id, state,
+ * tenant, lane, epoch and cache source; once done also ok, status,
+ * the program's swaps/duration/psuccess, a race's winner= and
+ * raced=, and error= for a non-ok status.
+ */
+std::string describeResult(const JobSnapshot &snap);
+
 /** Per-tenant admission accounting. */
 struct TenantStats
 {

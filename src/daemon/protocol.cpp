@@ -26,6 +26,17 @@ splitTokens(const std::string &line)
 }
 
 std::string
+tokenSafe(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (char c : text)
+        out.push_back(
+            c == ' ' || c == '\n' || c == '\t' ? '_' : c);
+    return out;
+}
+
+std::string
 Request::get(const std::string &key, const std::string &fallback) const
 {
     auto it = args.find(key);

@@ -50,6 +50,9 @@ struct Request
  */
 Request parseRequest(const std::string &line);
 
+/** Escape for a single protocol token: no spaces or newlines. */
+std::string tokenSafe(const std::string &text);
+
 } // namespace qc::daemon
 
 #endif // QC_DAEMON_PROTOCOL_HPP

@@ -334,10 +334,8 @@ SabreRoutePass::run(const std::vector<CnotPair> &cnots,
 
 SabrePlacementResult
 sabrePlacementDetailed(const Machine &machine, const Circuit &prog,
-                       const SabreOptions &options,
-                       const CancelToken *cancel)
+                       const SabreOptions &options)
 {
-    throwIfCancelled(cancel, "sabre refinement cancelled");
     const int n_prog = prog.numQubits();
     const int n_hw = machine.numQubits();
     if (n_prog > n_hw)
@@ -361,7 +359,7 @@ sabrePlacementDetailed(const Machine &machine, const Circuit &prog,
     // standard Sabre bundle schedules with.
     TrackingRouter evaluator(machine);
     auto evaluate = [&](const std::vector<HwQubit> &layout) {
-        return evaluator.run(prog, layout, cancel).predictedSuccess;
+        return evaluator.run(prog, layout).predictedSuccess;
     };
     result.predictedSuccess = evaluate(result.layout);
 
@@ -376,9 +374,6 @@ sabrePlacementDetailed(const Machine &machine, const Circuit &prog,
 
     std::vector<HwQubit> current = result.layout;
     for (int it = 0; it < options.iterations; ++it) {
-        // Round-trip boundaries are the natural cancellation points:
-        // each trip is a full routed pass over the circuit.
-        throwIfCancelled(cancel, "sabre refinement cancelled");
         std::vector<HwQubit> after_forward =
             router.run(forward, std::move(current));
         current = router.run(backward, std::move(after_forward));

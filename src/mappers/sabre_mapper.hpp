@@ -35,7 +35,6 @@
 
 #include "ir/circuit.hpp"
 #include "machine/machine.hpp"
-#include "support/cancel.hpp"
 
 namespace qc {
 
@@ -91,16 +90,12 @@ struct SabrePlacementResult
 
 /**
  * Run the full refinement search. Throws FatalError when the program
- * does not fit the machine (the shared placement contract), and
- * CancelledError at a round-trip boundary when `cancel` fires (a
- * partially-refined layout is never returned).
+ * does not fit the machine (the shared placement contract).
  */
 SabrePlacementResult sabrePlacementDetailed(const Machine &machine,
                                             const Circuit &prog,
                                             const SabreOptions &options
-                                            = {},
-                                            const CancelToken *cancel
-                                            = nullptr);
+                                            = {});
 
 } // namespace qc
 

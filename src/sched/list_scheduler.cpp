@@ -76,8 +76,7 @@ ListScheduler::chooseRoute(HwQubit c, HwQubit t, int gate_idx,
 
 Schedule
 ListScheduler::run(const Circuit &prog,
-                   const std::vector<HwQubit> &layout,
-                   const CancelToken *cancel) const
+                   const std::vector<HwQubit> &layout) const
 {
     const auto &topo = machine_.topo();
     const auto &cal = machine_.cal();
@@ -253,7 +252,6 @@ ListScheduler::run(const Circuit &prog,
 
     size_t scheduled = 0;
     while (scheduled < n_gates) {
-        throwIfCancelled(cancel, "scheduling cancelled");
         QC_ASSERT(!heap.empty(),
                   "scheduler deadlock: no ready gates");
         auto [key, gi] = heap.top();

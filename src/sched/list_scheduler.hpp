@@ -28,7 +28,6 @@
 #include "machine/machine.hpp"
 #include "route/routing.hpp"
 #include "sched/schedule.hpp"
-#include "support/cancel.hpp"
 
 namespace qc {
 
@@ -69,12 +68,9 @@ class ListScheduler
      * @param prog   program-level circuit
      * @param layout layout[p] = hardware qubit of program qubit p;
      *               entries must be distinct and in range
-     * @param cancel optional cooperative cancellation: polled at each
-     *               commit step, unwinding with CancelledError
      */
     Schedule run(const Circuit &prog,
-                 const std::vector<HwQubit> &layout,
-                 const CancelToken *cancel = nullptr) const;
+                 const std::vector<HwQubit> &layout) const;
 
     /**
      * The route this scheduler picks for a CNOT gate. One-bend

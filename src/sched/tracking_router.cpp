@@ -16,8 +16,7 @@ TrackingRouter::TrackingRouter(const Machine &machine,
 
 TrackingResult
 TrackingRouter::run(const Circuit &prog,
-                    std::vector<HwQubit> initial_layout,
-                    const CancelToken *cancel) const
+                    std::vector<HwQubit> initial_layout) const
 {
     const auto &topo = machine_.topo();
     const auto &cal = machine_.cal();
@@ -71,7 +70,6 @@ TrackingRouter::run(const Circuit &prog,
     };
 
     for (size_t gi = 0; gi < prog.size(); ++gi) {
-        throwIfCancelled(cancel, "tracking routing cancelled");
         const Gate &g = prog.gate(gi);
         if (g.op == Op::Swap)
             QC_FATAL("program-level circuits must not contain Swap");

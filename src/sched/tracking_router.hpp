@@ -20,7 +20,6 @@
 #include "ir/circuit.hpp"
 #include "machine/machine.hpp"
 #include "sched/schedule.hpp"
-#include "support/cancel.hpp"
 
 namespace qc {
 
@@ -67,12 +66,9 @@ class TrackingRouter
     /**
      * @param prog           program-level circuit
      * @param initial_layout starting placement (validated)
-     * @param cancel         optional cooperative cancellation: polled
-     *                       per gate, unwinding with CancelledError
      */
     TrackingResult run(const Circuit &prog,
-                       std::vector<HwQubit> initial_layout,
-                       const CancelToken *cancel = nullptr) const;
+                       std::vector<HwQubit> initial_layout) const;
 
   private:
     const Machine &machine_;

@@ -148,8 +148,6 @@ CompileService::makeReport(const std::vector<CompileResult> &results,
             // raced stage counts exactly once.
             ++report.portfolioJobs;
             for (const PortfolioCandidate &c : r.portfolio) {
-                if (c.cancelled)
-                    ++report.portfolioCancelled;
                 if (c.winner)
                     ++wins[static_cast<std::size_t>(c.kind)];
                 for (const StageTrace &t : c.stageTraces) {
@@ -198,8 +196,7 @@ ServiceReport::toString() const
         oss << ", " << degraded << " degraded";
     oss << ")\n";
     if (portfolioJobs > 0) {
-        oss << "portfolio: " << portfolioJobs << " raced, "
-            << portfolioCancelled << " candidates cancelled early";
+        oss << "portfolio: " << portfolioJobs << " raced";
         if (!portfolioWins.empty()) {
             oss << "; wins:";
             for (const auto &[name, count] : portfolioWins)

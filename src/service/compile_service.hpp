@@ -205,8 +205,6 @@ struct ServiceReport
 
     /** Jobs that actually raced a portfolio (cache hits race nothing). */
     int portfolioJobs = 0;
-    /** Candidates cancelled early across all portfolio races. */
-    int portfolioCancelled = 0;
     /**
      * Wins per bundle ("<name>" -> count), in kAllMapperKinds order so
      * the report is deterministic. Only bundles that won appear.

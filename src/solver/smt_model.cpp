@@ -72,9 +72,8 @@ remainingMs(Clock::time_point deadline)
 
 /**
  * The full model build + optimization loop. May throw z3::exception
- * from any context operation when the token's interrupt hook fires
- * outside a check() — the public wrapper below maps that to a
- * structured cancelled/error solution.
+ * from any context operation; the public wrapper below maps that to a
+ * structured error solution.
  */
 SmtSolution
 solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
@@ -107,27 +106,8 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
     const auto deadline =
         t0 + std::chrono::milliseconds(options.timeoutMs);
 
-    // A cancelled solve keeps no model: the caller (portfolio racing)
-    // declared it a loser, and a partial incumbent would only leak
-    // timing-dependent results into deterministic selection.
-    auto cancelled_solution = [&t0] {
-        SmtSolution s;
-        s.failure = SmtFailure::Cancelled;
-        s.status = "cancelled";
-        s.solveSeconds =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        return s;
-    };
-    if (isCancelled(options.cancel))
-        return cancelled_solution();
-
     z3::context ctx;
     z3::solver solver(ctx);
-    // Polling alone cannot stop a thread parked inside solver.check(),
-    // so the token also hooks z3's soft interrupt for the lifetime of
-    // this solve (the guard's destructor waits out an in-flight hook).
-    CancelCallbackGuard interrupt_guard(options.cancel,
-                                        [&ctx] { ctx.interrupt(); });
     auto set_budget = [&](unsigned cap_ms) {
         z3::params p(ctx);
         // Never 0: z3 reads a zero timeout as "no limit", which a
@@ -407,11 +387,6 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
     std::int64_t best_value = 0;
     bool proven = false;
 
-    // Model building is cheap but the BnB warm starts below may not
-    // be: checkpoint before committing to them.
-    if (isCancelled(options.cancel))
-        return cancelled_solution();
-
     // Lower bound.
     std::int64_t lower = 0;
     bool lower_is_tight = false;
@@ -461,39 +436,11 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
 
     auto check_with_bound = [&](std::optional<std::int64_t> bound,
                                 unsigned cap_ms) -> z3::check_result {
-        if (isCancelled(options.cancel)) {
-            sol.status = "cancelled";
-            sol.failure = SmtFailure::Cancelled;
-            return z3::unknown;
-        }
         solver.push();
         if (bound)
             solver.add(objective <= ctx.int_val(*bound));
         set_budget(cap_ms);
-        z3::check_result r;
-        try {
-            r = solver.check();
-        } catch (const z3::exception &e) {
-            // An interrupted check may surface as a z3 exception; the
-            // token, not the exception text, is authoritative.
-            if (isCancelled(options.cancel)) {
-                sol.status = "cancelled";
-                sol.failure = SmtFailure::Cancelled;
-            } else {
-                sol.status = std::string("z3 exception: ") + e.msg();
-                sol.failure = SmtFailure::Error;
-            }
-            solver.pop();
-            return z3::unknown;
-        }
-        if (isCancelled(options.cancel)) {
-            // Interrupted mid-check: whatever z3 answered is partial
-            // timing-dependent state — drop it.
-            sol.status = "cancelled";
-            sol.failure = SmtFailure::Cancelled;
-            solver.pop();
-            return z3::unknown;
-        }
+        const z3::check_result r = solver.check();
         if (r == z3::sat) {
             best_model = solver.get_model();
             if (reliability) {
@@ -574,10 +521,8 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
                 return sol;
             }
             if (r != z3::sat && !best_model) {
-                if (sol.status.empty())
-                    sol.status = "unknown";
-                if (sol.failure == SmtFailure::None)
-                    sol.failure = SmtFailure::Timeout;
+                sol.status = "unknown";
+                sol.failure = SmtFailure::Timeout;
                 sol.solveSeconds = std::chrono::duration<double>(
                                        Clock::now() - t0)
                                        .count();
@@ -605,14 +550,8 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
             proven = false;
     }
 
-    // Cancellation overrides any incumbent found along the way.
-    if (sol.failure == SmtFailure::Cancelled ||
-        isCancelled(options.cancel))
-        return cancelled_solution();
-
     sol.optimal = proven;
-    if (sol.status.empty())
-        sol.status = proven ? "optimal" : "feasible";
+    sol.status = proven ? "optimal" : "feasible";
 
     if (best_model) {
         z3::model &m = *best_model;
@@ -641,21 +580,14 @@ solveSmtMapping(const Machine &machine, const Circuit &prog,
     try {
         return solveSmtMappingImpl(machine, prog, options);
     } catch (const z3::exception &e) {
-        // The interrupt hook can fire while the model is still being
-        // BUILT (solver.add on an interrupted context throws), not
-        // just inside check(). The token, not the exception text, is
-        // authoritative; a genuine Z3 failure stays a structured
-        // error instead of escaping the solve.
+        // Any Z3 failure, while building the model or inside a check,
+        // ends the solve here as a structured error instead of
+        // escaping to the caller.
         SmtSolution sol;
         sol.solveSeconds =
             std::chrono::duration<double>(Clock::now() - t0).count();
-        if (isCancelled(options.cancel)) {
-            sol.failure = SmtFailure::Cancelled;
-            sol.status = "cancelled";
-        } else {
-            sol.failure = SmtFailure::Error;
-            sol.status = std::string("z3 exception: ") + e.msg();
-        }
+        sol.failure = SmtFailure::Error;
+        sol.status = std::string("z3 exception: ") + e.msg();
         return sol;
     }
 }

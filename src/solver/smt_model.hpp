@@ -33,7 +33,6 @@
 #include "machine/machine.hpp"
 #include "route/routing.hpp"
 #include "solver/objective.hpp"
-#include "support/cancel.hpp"
 
 namespace qc {
 
@@ -76,23 +75,14 @@ struct SmtModelOptions
      * large synthetic programs (Fig. 11's scalability sweep).
      */
     bool jointScheduling = true;
-
-    /**
-     * Cooperative cancellation (null = not cancellable). The solve
-     * polls it between solver queries and hooks z3's interrupt so an
-     * in-flight check() returns promptly; a cancelled solve comes
-     * back infeasible with SmtFailure::Cancelled and keeps no model.
-     */
-    const CancelToken *cancel = nullptr;
 };
 
 /** Why a solve produced no model (meaningful when !feasible). */
 enum class SmtFailure {
-    None,      ///< a model was found (or no failure recorded yet)
-    Unsat,     ///< constraints proven unsatisfiable
-    Timeout,   ///< budget exhausted without any model
-    Error,     ///< Z3 raised an exception
-    Cancelled, ///< the solve's CancelToken was triggered
+    None,    ///< a model was found (or no failure recorded yet)
+    Unsat,   ///< constraints proven unsatisfiable
+    Timeout, ///< budget exhausted without any model
+    Error,   ///< Z3 raised an exception
 };
 
 /** Outcome of an SMT solve. */

@@ -12,7 +12,6 @@ compileStatusCodeName(CompileStatusCode code)
       case CompileStatusCode::Infeasible: return "infeasible";
       case CompileStatusCode::SolverTimeout: return "solver-timeout";
       case CompileStatusCode::InternalError: return "internal-error";
-      case CompileStatusCode::Cancelled: return "cancelled";
       case CompileStatusCode::VerifyFailed: return "verify-failed";
     }
     QC_PANIC("unknown compile status code");

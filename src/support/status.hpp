@@ -29,7 +29,6 @@ enum class CompileStatusCode {
     Infeasible,    ///< the input cannot be compiled (e.g. too many qubits)
     SolverTimeout, ///< the solver exhausted its budget without a model
     InternalError, ///< unexpected failure (library or solver bug)
-    Cancelled,     ///< a CancelToken stopped the run (portfolio loser)
     VerifyFailed,  ///< the translation validator rejected the output
 };
 
@@ -55,10 +54,6 @@ struct CompileStatus
     static CompileStatus internalError(std::string msg)
     {
         return {CompileStatusCode::InternalError, std::move(msg)};
-    }
-    static CompileStatus cancelled(std::string msg)
-    {
-        return {CompileStatusCode::Cancelled, std::move(msg)};
     }
     static CompileStatus verifyFailed(std::string msg)
     {

@@ -647,6 +647,16 @@ TEST(Daemon, AgreesWithCompileServiceOnAHeuristicRace)
     const int n_clbits = circuit.numClbits();
     EXPECT_EQ(emitQasm(dmn.program->hwCircuit(n_clbits)),
               emitQasm(svc.program->hwCircuit(n_clbits)));
+
+    // naqcd's status line names the race's winner and size.
+    JobSnapshot snap;
+    snap.state = daemon::JobState::Done;
+    snap.result = dmn;
+    const std::string line = daemon::describeResult(snap);
+    EXPECT_NE(line.find(" winner=" + daemon::tokenSafe(dmn.winner) + " "),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find(" raced=3"), std::string::npos) << line;
 }
 
 TEST(Daemon, AgreesWithCompileServiceOnAnInfeasibleJob)

@@ -3,13 +3,16 @@
  * SMT bundle tests (T-SMT, T-SMT*, R-SMT*): the Z3 optimum must agree
  * with the independent branch-and-bound optimum on the reliability
  * objective, duration variants must prove optimality, and solutions
- * must be valid.
+ * must be valid. Also the portfolio's bundle-order tie-break between
+ * a heuristic and an SMT bundle, kept out of the ThreadSanitizer
+ * suites because TSan flags Z3's internal timer locking.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/portfolio.hpp"
 #include "mappers/smt_mapper.hpp"
 #include "solver/bnb_placer.hpp"
 #include "solver/objective.hpp"
@@ -233,6 +236,46 @@ TEST(SmtBundles, NonJointSchedulingMatchesJointObjective)
     double obj_c =
         evaluateReliability(b.circuit, c.layout, m).weighted(0.5);
     EXPECT_NEAR(obj_a, obj_c, 1e-6);
+}
+
+TEST(PortfolioRace, EqualPredictionsGoToTheEarlierBundle)
+{
+    // On a uniform machine every placement of the single-CNOT program
+    // predicts the same success, so GreedyE* and R-SMT* both finish
+    // with equal, eligible predictions and bundle order decides.
+    GridTopology topo(2, 4);
+    auto machine = std::make_shared<const Machine>(
+        topo, test::uniformCalibration(topo));
+    Circuit prog("bell", 2);
+    prog.cnot(0, 1);
+    prog.measure(0, 0);
+    prog.measure(1, 1);
+
+    for (const std::vector<MapperKind> &bundles :
+         {std::vector<MapperKind>{MapperKind::GreedyE,
+                                  MapperKind::RSmtStar},
+          std::vector<MapperKind>{MapperKind::RSmtStar,
+                                  MapperKind::GreedyE}}) {
+        CompilerOptions options;
+        options.portfolio.enabled = true;
+        options.portfolio.bundles = bundles;
+        PortfolioResult raced = PortfolioPass(machine, options).run(prog);
+
+        ASSERT_TRUE(raced.ok());
+        ASSERT_EQ(raced.candidates.size(), 2u);
+        for (const PortfolioCandidate &c : raced.candidates) {
+            EXPECT_TRUE(c.hasProgram) << c.name;
+            EXPECT_TRUE(c.eligible) << c.name;
+        }
+        EXPECT_EQ(raced.candidates[0].predictedSuccess,
+                  raced.candidates[1].predictedSuccess);
+        EXPECT_EQ(raced.winnerIndex, 0);
+        EXPECT_TRUE(raced.candidates[0].winner);
+        EXPECT_FALSE(raced.candidates[1].winner);
+        EXPECT_EQ(raced.candidates[0].kind, bundles[0]);
+        EXPECT_EQ(raced.best.program.predictedSuccess,
+                  raced.candidates[0].predictedSuccess);
+    }
 }
 
 } // namespace

@@ -433,10 +433,9 @@ printPortfolioTable(std::ostream &os, const PortfolioResult &raced)
     Table t({"bundle", "status", "pred. success", "swaps", "duration",
              "seconds", "outcome"});
     for (const PortfolioCandidate &c : raced.candidates) {
-        std::string outcome = c.winner      ? "winner"
-                              : c.cancelled ? "cancelled"
-                              : c.eligible  ? "lost"
-                                            : "ineligible";
+        std::string outcome = c.winner     ? "winner"
+                              : c.eligible ? "lost"
+                                           : "ineligible";
         t.addRow({c.name, compileStatusCodeName(c.status.code),
                   c.hasProgram ? Table::fmt(c.predictedSuccess) : "-",
                   c.hasProgram
@@ -448,10 +447,6 @@ printPortfolioTable(std::ostream &os, const PortfolioResult &raced)
                   Table::fmt(c.seconds), outcome});
     }
     t.print(os);
-    os << "portfolio: " << raced.launchedCount << " launched, "
-       << raced.cancelledCount << " cancelled early; success upper "
-          "bound "
-       << Table::fmt(raced.upperBound) << "\n";
 }
 
 int

@@ -53,7 +53,6 @@
 #include <unistd.h>
 
 #include "core/option_table.hpp"
-#include "core/portfolio.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/net.hpp"
 #include "daemon/protocol.hpp"
@@ -183,60 +182,12 @@ readPayload(daemon::LineChannel &ch, std::string &payload)
     return false;
 }
 
-/** Escape for a single protocol token: no spaces or newlines. */
-std::string
-tokenSafe(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text)
-        out.push_back(
-            c == ' ' || c == '\n' || c == '\t' ? '_' : c);
-    return out;
-}
-
-std::string
-describeResult(const daemon::JobSnapshot &snap)
-{
-    const service::CompileResult &r = snap.result;
-    std::ostringstream oss;
-    oss << "id=" << snap.id << " state="
-        << daemon::jobStateName(snap.state)
-        << " tenant=" << tokenSafe(snap.tenant)
-        << " lane=" << daemon::laneName(snap.lane)
-        << " epoch=" << snap.epochId
-        << " cache=" << daemon::cacheSourceName(snap.cacheSource);
-    if (snap.state != daemon::JobState::Done)
-        return oss.str();
-    oss << " ok=" << (r.ok ? 1 : 0)
-        << " status=" << compileStatusCodeName(r.status.code);
-    if (r.ok && r.program) {
-        oss << " swaps=" << r.program->swapCount
-            << " duration=" << r.program->duration
-            << " psuccess=" << r.program->predictedSuccess;
-    }
-    if (!r.portfolio.empty()) {
-        int cancelled = 0;
-        for (const PortfolioCandidate &c : r.portfolio)
-            if (c.cancelled)
-                ++cancelled;
-        oss << " winner=" << (r.winner.empty()
-                                  ? "-"
-                                  : tokenSafe(r.winner))
-            << " raced=" << r.portfolio.size()
-            << " cancelled=" << cancelled;
-    }
-    if (!r.status.ok())
-        oss << " error=" << tokenSafe(r.error());
-    return oss.str();
-}
-
 std::string
 statsPayload(const daemon::DaemonStats &s)
 {
     std::ostringstream oss;
     for (const daemon::TenantStats &t : s.tenants)
-        oss << "tenant " << tokenSafe(t.tenant)
+        oss << "tenant " << daemon::tokenSafe(t.tenant)
             << " inflight=" << t.inFlight
             << " submitted=" << t.submitted
             << " rejected=" << t.rejected
@@ -302,7 +253,7 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
             return;
         }
     } catch (const std::exception &e) {
-        ch.writeLine("err reason=" + tokenSafe(e.what()));
+        ch.writeLine("err reason=" + daemon::tokenSafe(e.what()));
         return;
     }
 
@@ -323,7 +274,7 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
                 applyCompilerOption(copts, key, value);
         }
     } catch (const std::exception &e) {
-        ch.writeLine("err reason=" + tokenSafe(e.what()));
+        ch.writeLine("err reason=" + daemon::tokenSafe(e.what()));
         return;
     }
 
@@ -333,7 +284,7 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
         tenant, lane, std::move(circuit), copts,
         req.get("tag", "job"));
     if (!out.accepted) {
-        ch.writeLine("err reason=" + tokenSafe(out.reason));
+        ch.writeLine("err reason=" + daemon::tokenSafe(out.reason));
         return;
     }
     if (!wait) {
@@ -346,7 +297,7 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
         ch.writeLine("err reason=job-record-expired");
         return;
     }
-    ch.writeLine("ok " + describeResult(snap));
+    ch.writeLine("ok " + daemon::describeResult(snap));
     if (snap.result.ok && snap.result.program) {
         ch.writeText(emitQasm(
             snap.result.program->hwCircuit(num_clbits)));
@@ -382,7 +333,7 @@ handleReload(Server &srv, daemon::LineChannel &ch,
             return;
         }
     } catch (const std::exception &e) {
-        ch.writeLine("err reason=" + tokenSafe(e.what()));
+        ch.writeLine("err reason=" + daemon::tokenSafe(e.what()));
         return;
     }
 
@@ -412,7 +363,7 @@ serveConnection(Server &srv, int fd)
             try {
                 id = cli::parseUint64Flag("id", req.get("id"));
             } catch (const std::exception &e) {
-                ch.writeLine("err reason=" + tokenSafe(e.what()));
+                ch.writeLine("err reason=" + daemon::tokenSafe(e.what()));
                 continue;
             }
             daemon::JobSnapshot snap;
@@ -422,7 +373,7 @@ serveConnection(Server &srv, int fd)
             if (!known)
                 ch.writeLine("err reason=unknown-id");
             else
-                ch.writeLine("ok " + describeResult(snap));
+                ch.writeLine("ok " + daemon::describeResult(snap));
         } else if (req.command == "stats") {
             daemon::DaemonStats s = srv.daemon->stats();
             ch.writeLine(statsLine(s));
@@ -442,7 +393,7 @@ serveConnection(Server &srv, int fd)
             break;
         } else {
             ch.writeLine("err reason=unknown-command-" +
-                         tokenSafe(req.command));
+                         daemon::tokenSafe(req.command));
         }
     }
     std::lock_guard<std::mutex> lock(srv.connMu);
